@@ -385,7 +385,7 @@ fn main() {
             ..sim::SimConfig::new(sim_workload)
         };
         let t0 = Instant::now();
-        let report = sim::run_specs(&sim_specs, &cfg);
+        let report = sim::run_specs_with(&sim::TimeBoundedHarness, &sim_specs, &cfg);
         let wall = t0.elapsed();
         let success = report.families.iter().map(|f| f.success.hits).sum();
         let row = SimRow {

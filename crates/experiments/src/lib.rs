@@ -14,7 +14,7 @@
 //! | E6 | timeout-calculus ablation ("d_i calculated in \[5\]") | [`e6`] |
 //! | E7 | §5 relation with cross-chain deals \[3\] | [`e7`] |
 //! | P  | engineering performance | [`perf`] |
-//! | E8 | Monte-Carlo traffic simulation | `xchain-sim` (binary `exp8`) |
+//! | E8 | Monte-Carlo traffic simulation | `xchain-sim` (binary `exp9`, time-bounded rows) |
 //!
 //! Binaries `exp1`…`exp7`, `expperf` and `expall` print the tables that
 //! EXPERIMENTS.md records (E8 lives in the `xchain-sim` crate, which

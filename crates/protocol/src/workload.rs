@@ -202,7 +202,7 @@ impl WorkloadConfig {
     }
 }
 
-/// One generated payment instance — everything `run_instance` needs to
+/// One generated payment instance — everything `sim::run_instance_with` needs to
 /// rebuild the run deterministically.
 #[derive(Debug, Clone)]
 pub struct PaymentSpec {

@@ -52,119 +52,15 @@
 //! crash-safe epochs with the usual checkpoint/resume and RSS gates
 //! (`--resume`, `--stop-after-epoch`, `--max-rss-mb`).
 
+mod cli;
+
 use anta::time::SimDuration;
 use experiments::table::{check, Table};
-use sim::campaign::{peak_rss_mb, telemetry_sink_with_requires, CampaignConfig, CampaignRunner};
 use sim::prelude::*;
 use std::time::Instant;
 
-struct Args {
-    quick: bool,
-    threads: usize,
-    seed: u64,
-    /// Payments per grid cell (0 ⇒ the mode's default).
-    payments: usize,
-    /// Directory to write `EXP11_network.json` into (empty ⇒ none).
-    out: String,
-    /// File to write the JSON artifact into (empty ⇒ use `out`).
-    json: String,
-    /// Total payments for campaign mode (0 ⇒ grid mode).
-    campaign: u64,
-    /// Payments per campaign epoch.
-    epoch: usize,
-    /// Per-venue collateral budget.
-    budget: u64,
-    /// Scale-free venue count for campaign mode.
-    venues: usize,
-    /// Rebalancing period in ms for campaign mode (0 ⇒ off).
-    rebalance_ms: u64,
-    /// Checkpoint path (write after every epoch; resume if it exists).
-    resume: String,
-    /// Exit cleanly once this epoch index completes (campaign mode).
-    stop_after_epoch: Option<u64>,
-    /// Fail the process if peak RSS exceeds this many MiB (campaign mode).
-    max_rss_mb: Option<u64>,
-    /// Telemetry JSONL file (empty ⇒ NullSink).
-    telemetry: String,
-    /// Emit campaign telemetry every N epochs.
-    telemetry_interval: u64,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        quick: false,
-        threads: 0,
-        seed: 0xE11,
-        payments: 0,
-        out: String::new(),
-        json: String::new(),
-        campaign: 0,
-        epoch: 50_000,
-        budget: 2_500,
-        venues: 4_096,
-        rebalance_ms: 10,
-        resume: String::new(),
-        stop_after_epoch: None,
-        max_rss_mb: None,
-        telemetry: String::new(),
-        telemetry_interval: 1,
-    };
-    let mut it = std::env::args().skip(1);
-    let need = |flag: &str, it: &mut dyn Iterator<Item = String>| -> String {
-        it.next().unwrap_or_else(|| panic!("{flag} needs a value"))
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => args.quick = true,
-            "--threads" => args.threads = need("--threads", &mut it).parse().expect("thread count"),
-            "--seed" => args.seed = need("--seed", &mut it).parse().expect("seed"),
-            "--payments" => {
-                args.payments = need("--payments", &mut it).parse().expect("payment count")
-            }
-            "--out" => args.out = need("--out", &mut it),
-            "--json" => args.json = need("--json", &mut it),
-            "--campaign" => {
-                args.campaign = need("--campaign", &mut it).parse().expect("campaign size")
-            }
-            "--epoch" => args.epoch = need("--epoch", &mut it).parse().expect("epoch size"),
-            "--budget" => args.budget = need("--budget", &mut it).parse().expect("budget"),
-            "--venues" => args.venues = need("--venues", &mut it).parse().expect("venue count"),
-            "--rebalance-ms" => {
-                args.rebalance_ms = need("--rebalance-ms", &mut it).parse().expect("period ms")
-            }
-            "--resume" | "--checkpoint" => args.resume = need("--resume", &mut it),
-            "--stop-after-epoch" => {
-                args.stop_after_epoch = Some(
-                    need("--stop-after-epoch", &mut it)
-                        .parse()
-                        .expect("epoch index"),
-                )
-            }
-            "--max-rss-mb" => {
-                args.max_rss_mb = Some(need("--max-rss-mb", &mut it).parse().expect("MiB limit"))
-            }
-            "--telemetry" => args.telemetry = need("--telemetry", &mut it),
-            "--telemetry-interval" => {
-                args.telemetry_interval = need("--telemetry-interval", &mut it)
-                    .parse()
-                    .expect("interval")
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: exp11 [--quick] [--threads N] [--seed S] [--payments N]\n\
-                     \x20             [--json FILE | --out DIR] [--telemetry FILE] \
-                     [--telemetry-interval N]\n\
-                     campaign mode: exp11 --campaign N [--epoch M] [--budget B] [--venues V]\n\
-                     \x20              [--rebalance-ms P] [--resume CKPT] [--stop-after-epoch K]\n\
-                     \x20              [--max-rss-mb M] [--json FILE]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
+/// The event series the telemetry header promises `telemetry_check`.
+const REQUIRES: &str = "venues,route,rebalance";
 
 /// The tight-budget routed workload over one network family: bursty
 /// arrivals, uniform plans (the router's feasibility math is per-hop
@@ -181,162 +77,66 @@ fn network_workload(family: TopologyFamily, payments: usize, seed: u64) -> Workl
     w
 }
 
-/// Campaign mode: a streamed routed open-system campaign over one
-/// scale-free network with periodic rebalancing.
-fn run_campaign(args: &Args) {
-    let workload = network_workload(
-        TopologyFamily::ScaleFree {
-            venues: args.venues,
-            attach: 2,
-        },
-        0,
-        args.seed,
-    );
-    let liq = LiquidityConfig::queue(args.budget, SimDuration::from_millis(20));
-    let routing = if args.rebalance_ms > 0 {
-        RoutingConfig::with_rebalance(SimDuration::from_millis(args.rebalance_ms))
-    } else {
-        RoutingConfig::new()
-    };
-    let cfg = CampaignConfig {
-        threads: args.threads,
-        liquidity: Some(liq),
-        routing: Some(routing),
-        ..CampaignConfig::new(workload, args.campaign, args.epoch)
-    };
-    let ckpt = (!args.resume.is_empty()).then(|| std::path::PathBuf::from(&args.resume));
-    let mut runner = CampaignRunner::resume_or_new(
-        TimeBoundedHarness,
-        cfg,
-        ckpt.as_deref().unwrap_or(std::path::Path::new("")),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("cannot resume campaign: {e}");
-        std::process::exit(1);
-    });
-    if runner.next_epoch() > 0 {
-        eprintln!(
-            "resumed from checkpoint at epoch {}/{}",
-            runner.next_epoch(),
-            cfg.epochs()
-        );
-    }
-    let mut sink = telemetry_sink_with_requires(&args.telemetry, "venues,route,rebalance")
-        .unwrap_or_else(|e| {
-            eprintln!("cannot open --telemetry {}: {e}", args.telemetry);
-            std::process::exit(1);
-        });
-    let mut last_rss = None;
-    runner
-        .run_to_end_with_telemetry(
-            ckpt.as_deref(),
-            args.stop_after_epoch,
-            sink.as_mut(),
-            args.telemetry_interval,
-            |e| {
-                last_rss = e.peak_rss_mb;
-                eprintln!("{}", e.progress_line());
-            },
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("checkpoint write failed: {e}");
-            std::process::exit(1);
-        });
-    let report = runner.report();
-    print!("{}", report.render());
-    let rss = last_rss.or_else(peak_rss_mb);
-    if !args.json.is_empty() {
-        let extra = [
-            (
-                "peak_rss_mb",
-                rss.map(|m| m.to_string())
-                    .unwrap_or_else(|| "null".to_owned()),
-            ),
-            ("phase_ms", runner.profile().to_json_object()),
-        ];
-        if let Some(dir) = std::path::Path::new(&args.json).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create --json directory");
-            }
-        }
-        std::fs::write(&args.json, report.to_json("exp11", &extra)).expect("write --json file");
-        println!("{}", args.json);
-    }
-    let audit = report
-        .tally
-        .liquidity
-        .as_ref()
-        .expect("open campaign carries a liquidity tally");
-    let audit_ok = audit.budget_violations == 0 && audit.drained_all;
-    println!(
-        "collateral conserved across all epochs (locked <= budget, venues drain): {}",
-        check(audit_ok)
-    );
-    if let (Some(limit), Some(peak)) = (args.max_rss_mb, rss) {
-        println!(
-            "RSS gate: peak {peak} MiB {} limit {limit} MiB",
-            if peak <= limit { "within" } else { "EXCEEDS" }
-        );
-        if peak > limit {
-            std::process::exit(1);
-        }
-    }
-    if !audit_ok || report.tally.violations > 0 || report.tally.failed > 0 {
-        std::process::exit(1);
-    }
-}
-
-/// One measured grid cell, kept for the JSON artifact.
-struct Cell {
-    protocol: &'static str,
-    family: &'static str,
-    venues: usize,
-    period_ms: u64,
-    offered: usize,
-    admitted: usize,
-    rejected: usize,
-    success: usize,
-    static_success: usize,
-    routing: RoutingStats,
-    violations: usize,
-    griefed: usize,
-    budget_violations: usize,
-    drained: bool,
-    goodput_per_sec: f64,
-}
-
 fn successes(r: &OpenReport) -> usize {
     r.sim.families.iter().map(|f| f.success.hits).sum()
 }
 
 fn main() {
-    let args = parse_args();
+    let mut budget = 2_500u64;
+    let mut venues = 4_096usize;
+    let mut rebalance_ms = 10u64;
+    let mut out = String::new();
+    let mut args = cli::parse(
+        "exp11",
+        0xE11,
+        "exp11 flags: [--out DIR] [--budget B] (grid and campaign mode),\n\
+         \x20            [--venues V] [--rebalance-ms P] (campaign mode)",
+        |flag, v| {
+            match flag {
+                "--budget" => budget = v.number(flag)?,
+                "--venues" => venues = v.number(flag)?,
+                "--rebalance-ms" => rebalance_ms = v.number(flag)?,
+                "--out" => out = v.value(flag)?,
+                _ => return Ok(false),
+            }
+            Ok(true)
+        },
+    );
     if args.campaign > 0 {
-        run_campaign(&args);
+        // A streamed routed open-system campaign over one scale-free
+        // network with periodic rebalancing.
+        let family = TopologyFamily::ScaleFree { venues, attach: 2 };
+        let routing = if rebalance_ms > 0 {
+            RoutingConfig::with_rebalance(SimDuration::from_millis(rebalance_ms))
+        } else {
+            RoutingConfig::new()
+        };
+        let cfg = sim::CampaignConfig {
+            liquidity: Some(LiquidityConfig::queue(budget, SimDuration::from_millis(20))),
+            routing: Some(routing),
+            ..args.campaign_config(network_workload(family, 0, args.seed))
+        };
+        cli::run_campaign(&args, TimeBoundedHarness, cfg, REQUIRES, true);
         return;
     }
-    let per_cell = if args.payments > 0 {
-        args.payments
-    } else if args.quick {
-        250
-    } else {
-        1_500
-    };
+    if args.json.is_empty() && !out.is_empty() {
+        args.json = std::path::Path::new(&out)
+            .join("EXP11_network.json")
+            .display()
+            .to_string();
+    }
+    let per_cell = args.per_cell(250, 1_500);
     let sizes: &[usize] = if args.quick {
         &[256, 1_024]
     } else {
         &[256, 1_024, 4_096]
     };
     let periods_ms: &[u64] = if args.quick { &[0, 10] } else { &[0, 50, 10] };
-    let protocols: &[&'static str] = if args.quick {
-        &["timebounded", "htlc"]
-    } else {
-        &["timebounded", "htlc", "ilp-untuned", "ilp-atomic", "deals"]
-    };
+    let protocols = &cli::PROTOCOLS[..if args.quick { 2 } else { 5 }];
     // Tight per-venue budget relative to the (100, 2000) amount range:
     // a drained hub venue blocks static routes outright, so the router's
     // ability to divert is exactly what the sweep prices.
-    let liq = LiquidityConfig::reject(args.budget);
+    let liq = LiquidityConfig::reject(budget);
 
     let mut table = Table::new(
         "E11 — liquidity-aware routing over random venue networks: size × rebalancing \
@@ -362,13 +162,9 @@ fn main() {
     );
 
     let t_all = Instant::now();
-    let mut sink = telemetry_sink_with_requires(&args.telemetry, "venues,route,rebalance")
-        .unwrap_or_else(|e| {
-            eprintln!("cannot open --telemetry {}: {e}", args.telemetry);
-            std::process::exit(1);
-        });
+    let mut sink = args.sink(REQUIRES);
     let mut cell_id = 0u64;
-    let mut cells: Vec<Cell> = Vec::new();
+    let mut cells: Vec<String> = Vec::new();
     let mut tb_violations = 0usize;
     let mut tb_griefed = 0usize;
     let mut tb_colviol = 0usize;
@@ -407,21 +203,9 @@ fn main() {
                 // The static baseline runs the same specs over their
                 // generation-time shortest paths — one run per
                 // (size, family, protocol), shared by every period.
-                let run_static = |cfg: &SimConfig| match protocol {
-                    "timebounded" => {
-                        sim::run_open_specs_with(&TimeBoundedHarness, &specs, cfg, &liq)
-                    }
-                    "htlc" => sim::run_open_specs_with(&HtlcHarness, &specs, cfg, &liq),
-                    "ilp-untuned" => {
-                        sim::run_open_specs_with(&InterledgerHarness::untuned(), &specs, cfg, &liq)
-                    }
-                    "ilp-atomic" => {
-                        sim::run_open_specs_with(&InterledgerHarness::atomic(), &specs, cfg, &liq)
-                    }
-                    "deals" => sim::run_open_specs_with(&DealsHarness, &specs, cfg, &liq),
-                    _ => unreachable!(),
-                };
-                let static_report = run_static(&cfg);
+                let static_report = cli::with_harness!(protocol, |h| {
+                    sim::run_open_specs_with(&h, &specs, &cfg, &liq)
+                });
                 let static_success = successes(&static_report);
                 total_instances += static_report.sim.instances;
 
@@ -431,45 +215,9 @@ fn main() {
                     } else {
                         RoutingConfig::new()
                     };
-                    let run_routed = |cfg: &SimConfig| match protocol {
-                        "timebounded" => sim::run_open_specs_routed_with_telemetry(
-                            &TimeBoundedHarness,
-                            &specs,
-                            cfg,
-                            &liq,
-                            &routing,
-                        ),
-                        "htlc" => sim::run_open_specs_routed_with_telemetry(
-                            &HtlcHarness,
-                            &specs,
-                            cfg,
-                            &liq,
-                            &routing,
-                        ),
-                        "ilp-untuned" => sim::run_open_specs_routed_with_telemetry(
-                            &InterledgerHarness::untuned(),
-                            &specs,
-                            cfg,
-                            &liq,
-                            &routing,
-                        ),
-                        "ilp-atomic" => sim::run_open_specs_routed_with_telemetry(
-                            &InterledgerHarness::atomic(),
-                            &specs,
-                            cfg,
-                            &liq,
-                            &routing,
-                        ),
-                        "deals" => sim::run_open_specs_routed_with_telemetry(
-                            &DealsHarness,
-                            &specs,
-                            cfg,
-                            &liq,
-                            &routing,
-                        ),
-                        _ => unreachable!(),
-                    };
-                    let (open, ot) = run_routed(&cfg);
+                    let (open, ot) = cli::with_harness!(protocol, |h| {
+                        sim::run_open_specs_with_telemetry(&h, &specs, &cfg, &liq, Some(&routing))
+                    });
                     let l = &open.liquidity;
                     let rs = open.routing.expect("routed runs report routing stats");
                     let success = successes(&open);
@@ -546,41 +294,37 @@ fn main() {
                         format!("{:.0}", l.goodput_per_sec()),
                         l.budget_violations.to_string(),
                     ]);
-                    cells.push(Cell {
-                        protocol,
-                        family: workload.family.label(),
-                        venues: size,
-                        period_ms,
-                        offered: l.offered,
-                        admitted: l.admitted,
-                        rejected: l.rejected,
-                        success,
-                        static_success,
-                        routing: rs,
-                        violations: open.sim.violations,
-                        griefed: open.sim.griefed,
-                        budget_violations: l.budget_violations,
-                        drained: l.drained,
-                        goodput_per_sec: l.goodput_per_sec(),
-                    });
+                    cells.push(format!(
+                        "{{\"protocol\": \"{protocol}\", \"family\": \"{}\", \"venues\": {size}, \
+                         \"rebalance_ms\": {period_ms}, \"offered\": {}, \"admitted\": {}, \
+                         \"rejected\": {}, \"success\": {success}, \
+                         \"static_success\": {static_success}, \"routed\": {}, \"rerouted\": {}, \
+                         \"split\": {}, \"no_path\": {}, \"pathfind_calls\": {}, \"rebalances\": {}, \
+                         \"restored_value\": {}, \"violations\": {}, \"griefed\": {}, \
+                         \"budget_violations\": {}, \"drained\": {}, \"goodput_per_sec\": {:.1}}}",
+                        workload.family.label(),
+                        l.offered,
+                        l.admitted,
+                        l.rejected,
+                        rs.routed,
+                        rs.rerouted,
+                        rs.split,
+                        rs.no_path,
+                        rs.pathfind_calls,
+                        rs.rebalances,
+                        rs.restored_value,
+                        open.sim.violations,
+                        open.sim.griefed,
+                        l.budget_violations,
+                        l.drained,
+                        l.goodput_per_sec(),
+                    ));
                 }
             }
         }
     }
 
-    if let Err(e) = sink.flush() {
-        eprintln!("telemetry flush failed: {e}");
-    }
-
-    println!("{}", table.render());
-    println!(
-        "instances: {total_instances} in {:.2} s ({} threads requested, {} cores)",
-        t_all.elapsed().as_secs_f64(),
-        args.threads,
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-    );
+    args.finish_grid(sink, &table.render(), total_instances, t_all, "");
     let safety_ok = tb_violations == 0 && tb_griefed == 0 && tb_colviol == 0 && tb_undrained == 0;
     println!(
         "time-bounded safety at every network size (0 violations, 0 griefed, \
@@ -623,66 +367,9 @@ fn main() {
          zero-violation, zero-griefing guarantees on every network size."
     );
 
-    if !args.out.is_empty() || !args.json.is_empty() {
-        let config_digest = experiments::digest::hex16(experiments::digest::fnv1a64(
-            format!("exp11 seed={} per_cell={}", args.seed, per_cell).as_bytes(),
-        ));
-        let mut json = String::new();
-        json.push_str("{\n");
-        json.push_str("  \"schema_version\": 1,\n");
-        json.push_str("  \"experiment\": \"exp11\",\n");
-        json.push_str(&format!("  \"config_digest\": \"{config_digest}\",\n"));
-        json.push_str(&format!("  \"quick\": {},\n", args.quick));
-        json.push_str(&format!("  \"seed\": {},\n", args.seed));
-        json.push_str(&format!("  \"payments_per_cell\": {per_cell},\n"));
-        json.push_str(&format!("  \"budget\": {},\n", args.budget));
-        json.push_str("  \"cells\": [\n");
-        for (i, c) in cells.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"protocol\": \"{}\", \"family\": \"{}\", \"venues\": {}, \
-                 \"rebalance_ms\": {}, \"offered\": {}, \"admitted\": {}, \"rejected\": {}, \
-                 \"success\": {}, \"static_success\": {}, \"routed\": {}, \"rerouted\": {}, \
-                 \"split\": {}, \"no_path\": {}, \"pathfind_calls\": {}, \"rebalances\": {}, \
-                 \"restored_value\": {}, \"violations\": {}, \"griefed\": {}, \
-                 \"budget_violations\": {}, \"drained\": {}, \"goodput_per_sec\": {:.1}}}{}\n",
-                c.protocol,
-                c.family,
-                c.venues,
-                c.period_ms,
-                c.offered,
-                c.admitted,
-                c.rejected,
-                c.success,
-                c.static_success,
-                c.routing.routed,
-                c.routing.rerouted,
-                c.routing.split,
-                c.routing.no_path,
-                c.routing.pathfind_calls,
-                c.routing.rebalances,
-                c.routing.restored_value,
-                c.violations,
-                c.griefed,
-                c.budget_violations,
-                c.drained,
-                c.goodput_per_sec,
-                if i + 1 < cells.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        let path = if !args.json.is_empty() {
-            if let Some(dir) = std::path::Path::new(&args.json).parent() {
-                if !dir.as_os_str().is_empty() {
-                    std::fs::create_dir_all(dir).expect("create --json directory");
-                }
-            }
-            std::path::PathBuf::from(&args.json)
-        } else {
-            std::fs::create_dir_all(&args.out).expect("create --out directory");
-            std::path::Path::new(&args.out).join("EXP11_network.json")
-        };
-        std::fs::write(&path, &json).expect("write JSON artifact");
-        println!("{}", path.display());
+    if !args.json.is_empty() {
+        let header = [("budget", budget.to_string())];
+        cli::write_json(&args.json, &args.grid_json(per_cell, &header, &cells));
     }
 
     if !safety_ok || !routing_wins || !strictly_better || rebal_dead_cells > 0 {

@@ -1,17 +1,24 @@
-//! `exp9` — **E9: cross-protocol Monte Carlo comparison**.
+//! `exp9` — **E8 + E9: Monte Carlo traffic simulation across every
+//! protocol**.
 //!
 //! Runs the *same* workload grid (topology family × drift envelope ×
 //! fault mix, same seeds, same per-instance fault draws) through every
 //! protocol harness of the workspace and prints the paper-style
 //! comparison table: success rate, griefed/stuck rate, conservation
-//! violations, latency percentiles and locked-value cost per protocol.
+//! violations, latency percentiles, locked-value cost, lock concurrency
+//! (global locked value at the in-flight peak, spoke load) and packet
+//! completion per protocol. The time-bounded rows are E8, the
+//! operational table the paper's theorems only bound asymptotically.
 //! The paper's comparative claims become hard exit criteria:
 //!
 //! * the **time-bounded** protocol must show **zero** griefing and
-//!   **zero** violations everywhere;
+//!   **zero** violations everywhere (the money-conservation assertion
+//!   is checked on every instance);
+//! * **HTLC** must grief under faults;
 //! * **untuned Interledger** must show violations (it loses money) in
 //!   the faulty region of the grid — if it doesn't, the baseline has
-//!   stopped demonstrating the defect the comparison exists to measure.
+//!   stopped demonstrating the defect the comparison exists to measure;
+//! * **atomic Interledger** and **certified deals** must stay safe.
 //!
 //! The untuned baseline runs under the adversary its synchrony model
 //! permits (worst-case δ delays, extreme in-envelope drift) — success
@@ -19,112 +26,25 @@
 //! exactly that adversary.
 //!
 //! Usage: `cargo run --release -p xchain-sim --bin exp9 --
-//! [--quick] [--threads N] [--seed S] [--payments N] [--json FILE]`.
-//! `--json` writes the per-cell comparison summary as a machine-readable
-//! artifact (the nightly CI uploads it).
+//! [--quick] [--threads N] [--seed S] [--payments N] [--json FILE]
+//! [--telemetry FILE]`. `--json` writes the per-cell comparison summary
+//! as a machine-readable artifact (the nightly CI uploads it).
 //!
-//! **Campaign mode** (`--campaign N --protocol P`): stream `N` payments
-//! of one `--family` through one protocol harness via the crash-safe
-//! [`sim::campaign::CampaignRunner`], with `--resume PATH`
-//! checkpoint/resume and `--stop-after-epoch K` (see README "Campaigns &
-//! recovery").
+//! **Campaign mode** (`--campaign N [--protocol P] [--family F]`):
+//! stream `N` payments of one family through one protocol harness via
+//! the crash-safe [`sim::campaign::CampaignRunner`], with `--resume PATH`
+//! checkpoint/resume, `--stop-after-epoch K` to exit cleanly
+//! mid-campaign, and `--max-rss-mb M` as the constant-memory gate the
+//! nightly enforces (see README "Campaigns & recovery"). A time-bounded
+//! campaign also fails on any conservation violation.
+
+mod cli;
 
 use anta::net::NetFaults;
 use anta::time::SimDuration;
 use experiments::table::{check, Table};
-use sim::campaign::{peak_rss_mb, telemetry_sink, CampaignConfig, CampaignRunner};
 use sim::prelude::*;
 use std::time::Instant;
-
-struct Args {
-    quick: bool,
-    threads: usize,
-    seed: u64,
-    /// Payments per grid cell (0 ⇒ the mode's default).
-    payments: usize,
-    /// File to write the per-cell JSON summary into (empty ⇒ none).
-    json: String,
-    /// Total payments for campaign mode (0 ⇒ grid mode).
-    campaign: u64,
-    /// Payments per campaign epoch.
-    epoch: usize,
-    /// Campaign family label.
-    family: String,
-    /// Campaign protocol harness.
-    protocol: String,
-    /// Checkpoint path (write after every epoch; resume if it exists).
-    resume: String,
-    /// Exit cleanly once this epoch index completes (campaign mode).
-    stop_after_epoch: Option<u64>,
-    /// Telemetry JSONL file (empty ⇒ NullSink).
-    telemetry: String,
-    /// Emit campaign telemetry every N epochs.
-    telemetry_interval: u64,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        quick: false,
-        threads: 0,
-        seed: 0xE9,
-        payments: 0,
-        json: String::new(),
-        campaign: 0,
-        epoch: 50_000,
-        family: "linear".to_owned(),
-        protocol: "timebounded".to_owned(),
-        resume: String::new(),
-        stop_after_epoch: None,
-        telemetry: String::new(),
-        telemetry_interval: 1,
-    };
-    let mut it = std::env::args().skip(1);
-    let need = |flag: &str, it: &mut dyn Iterator<Item = String>| -> String {
-        it.next().unwrap_or_else(|| panic!("{flag} needs a value"))
-    };
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--quick" => args.quick = true,
-            "--threads" => args.threads = need("--threads", &mut it).parse().expect("thread count"),
-            "--seed" => args.seed = need("--seed", &mut it).parse().expect("seed"),
-            "--payments" => {
-                args.payments = need("--payments", &mut it).parse().expect("payment count")
-            }
-            "--json" => args.json = need("--json", &mut it),
-            "--campaign" => {
-                args.campaign = need("--campaign", &mut it).parse().expect("campaign size")
-            }
-            "--epoch" => args.epoch = need("--epoch", &mut it).parse().expect("epoch size"),
-            "--family" => args.family = need("--family", &mut it),
-            "--protocol" => args.protocol = need("--protocol", &mut it),
-            "--resume" | "--checkpoint" => args.resume = need("--resume", &mut it),
-            "--stop-after-epoch" => {
-                args.stop_after_epoch = Some(
-                    need("--stop-after-epoch", &mut it)
-                        .parse()
-                        .expect("epoch index"),
-                )
-            }
-            "--telemetry" => args.telemetry = need("--telemetry", &mut it),
-            "--telemetry-interval" => {
-                args.telemetry_interval = need("--telemetry-interval", &mut it)
-                    .parse()
-                    .expect("interval")
-            }
-            other => {
-                eprintln!("unknown argument: {other}");
-                eprintln!(
-                    "usage: exp9 [--quick] [--threads N] [--seed S] [--payments N] [--json FILE]\n\
-                     \x20      [--telemetry FILE] [--telemetry-interval N]\n\
-                     campaign mode: exp9 --campaign N --protocol P [--epoch M] [--family F]\n\
-                     \x20              [--resume CKPT] [--stop-after-epoch K] [--json FILE]"
-                );
-                std::process::exit(2);
-            }
-        }
-    }
-    args
-}
 
 fn campaign_family(label: &str) -> TopologyFamily {
     match label {
@@ -134,102 +54,6 @@ fn campaign_family(label: &str) -> TopologyFamily {
         "packet" => TopologyFamily::Packetized { paths: 4, hops: 2 },
         other => {
             eprintln!("unknown --family {other} (want linear|hub|tree|packet)");
-            std::process::exit(2);
-        }
-    }
-}
-
-/// Campaign mode over one concrete harness (the checkpoint digest is
-/// keyed by `harness.name()`, so each protocol's campaign is its own
-/// resume lineage).
-fn run_campaign_with<H: ProtocolHarness>(harness: H, args: &Args) {
-    let workload = WorkloadConfig::new(campaign_family(&args.family), 0, args.seed);
-    if !harness.supports(&workload) {
-        eprintln!(
-            "{} does not support the {} family; pick another --protocol/--family",
-            harness.name(),
-            args.family
-        );
-        std::process::exit(2);
-    }
-    let cfg = CampaignConfig {
-        threads: args.threads,
-        ..CampaignConfig::new(workload, args.campaign, args.epoch)
-    };
-    let ckpt = (!args.resume.is_empty()).then(|| std::path::PathBuf::from(&args.resume));
-    let mut runner = CampaignRunner::resume_or_new(
-        harness,
-        cfg,
-        ckpt.as_deref().unwrap_or(std::path::Path::new("")),
-    )
-    .unwrap_or_else(|e| {
-        eprintln!("cannot resume campaign: {e}");
-        std::process::exit(1);
-    });
-    if runner.next_epoch() > 0 {
-        eprintln!(
-            "resumed from checkpoint at epoch {}/{}",
-            runner.next_epoch(),
-            cfg.epochs()
-        );
-    }
-    let mut sink = telemetry_sink(&args.telemetry).unwrap_or_else(|e| {
-        eprintln!("cannot open --telemetry {}: {e}", args.telemetry);
-        std::process::exit(1);
-    });
-    let mut last_rss = None;
-    runner
-        .run_to_end_with_telemetry(
-            ckpt.as_deref(),
-            args.stop_after_epoch,
-            sink.as_mut(),
-            args.telemetry_interval,
-            |e| {
-                last_rss = e.peak_rss_mb;
-                eprintln!("{}", e.progress_line());
-            },
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("checkpoint write failed: {e}");
-            std::process::exit(1);
-        });
-    let report = runner.report();
-    print!("{}", report.render());
-    if !args.json.is_empty() {
-        let rss = last_rss.or_else(peak_rss_mb);
-        let extra = [
-            (
-                "peak_rss_mb",
-                rss.map(|m| m.to_string())
-                    .unwrap_or_else(|| "null".to_owned()),
-            ),
-            ("phase_ms", runner.profile().to_json_object()),
-        ];
-        if let Some(dir) = std::path::Path::new(&args.json).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create --json directory");
-            }
-        }
-        std::fs::write(&args.json, report.to_json("exp9", &extra)).expect("write --json file");
-        println!("{}", args.json);
-    }
-    if report.tally.failed > 0 {
-        std::process::exit(1);
-    }
-}
-
-fn run_campaign(args: &Args) {
-    match args.protocol.as_str() {
-        "timebounded" => run_campaign_with(TimeBoundedHarness, args),
-        "htlc" => run_campaign_with(HtlcHarness, args),
-        "ilp-untuned" => run_campaign_with(InterledgerHarness::untuned(), args),
-        "ilp-atomic" => run_campaign_with(InterledgerHarness::atomic(), args),
-        "deals" => run_campaign_with(DealsHarness, args),
-        other => {
-            eprintln!(
-                "unknown --protocol {other} \
-                 (want timebounded|htlc|ilp-untuned|ilp-atomic|deals)"
-            );
             std::process::exit(2);
         }
     }
@@ -256,55 +80,53 @@ fn fault_levels() -> Vec<(&'static str, FaultPlan)> {
     ]
 }
 
-/// One cell of the `--json` artifact.
-struct JsonCell {
-    protocol: String,
-    family: String,
-    rho: u64,
-    faults: String,
-    payments: usize,
-    success: usize,
-    griefed: usize,
-    violations: usize,
-}
-
 /// Accumulated per-protocol tallies for the exit criteria.
 #[derive(Default)]
 struct ProtocolTally {
-    instances: usize,
     violations: usize,
     griefed: usize,
     /// Violations restricted to faulty cells (drift > 0 or fault mix on).
     faulty_cell_violations: usize,
 }
 
-/// Runs one protocol over the cell's pre-generated specs. Generation
-/// happens once per cell, outside the timed region, so every protocol
-/// sees the identical spec list and the pay/s column measures the
-/// parallel runner only (the same discipline as the bench binary).
-fn run_protocol_cell<H: ProtocolHarness>(
-    harness: &H,
-    specs: &[sim::PaymentSpec],
-    cfg: &SimConfig,
-) -> (SimReport, f64) {
-    let t0 = Instant::now();
-    let report = sim::run_specs_with(harness, specs, cfg);
-    (report, t0.elapsed().as_secs_f64())
+fn dash_or<T: ToString>(v: Option<T>) -> String {
+    v.map(|v| v.to_string()).unwrap_or_else(|| "-".to_owned())
 }
 
 fn main() {
-    let args = parse_args();
+    let mut family = "linear".to_owned();
+    let mut protocol = "timebounded".to_owned();
+    let args = cli::parse(
+        "exp9",
+        0xE9,
+        "exp9 flags: [--family linear|hub|tree|packet] [--protocol P] (campaign mode)",
+        |flag, v| {
+            match flag {
+                "--family" => family = v.value(flag)?,
+                "--protocol" => protocol = v.value(flag)?,
+                _ => return Ok(false),
+            }
+            Ok(true)
+        },
+    );
     if args.campaign > 0 {
-        run_campaign(&args);
+        let workload = WorkloadConfig::new(campaign_family(&family), 0, args.seed);
+        // The checkpoint digest is keyed by `harness.name()`, so each
+        // protocol's campaign is its own resume lineage.
+        cli::with_harness!(protocol.as_str(), |h| {
+            if !h.supports(&workload) {
+                eprintln!(
+                    "{} does not support the {family} family; pick another --protocol/--family",
+                    h.name()
+                );
+                std::process::exit(2);
+            }
+            let conservation = h.name() == "timebounded";
+            cli::run_campaign(&args, h, args.campaign_config(workload), "", conservation)
+        });
         return;
     }
-    let per_cell = if args.payments > 0 {
-        args.payments
-    } else if args.quick {
-        120
-    } else {
-        1_000
-    };
+    let per_cell = args.per_cell(120, 1_000);
 
     let families = [
         TopologyFamily::Linear { n: 4 },
@@ -327,25 +149,22 @@ fn main() {
             "refund",
             "stuck",
             "viol",
-            "latency p50/p99 (ms)",
+            "latency p50/p99/max (ms)",
             "locked p99",
+            "glob lock@peak",
+            "inflight",
+            "spoke max",
+            "packets ok/part/all",
             "pay/s",
         ],
     );
 
     let t_all = Instant::now();
-    let mut sink = telemetry_sink(&args.telemetry).unwrap_or_else(|e| {
-        eprintln!("cannot open --telemetry {}: {e}", args.telemetry);
-        std::process::exit(1);
-    });
-    let mut tb = ProtocolTally::default();
-    let mut htlc = ProtocolTally::default();
-    let mut untuned = ProtocolTally::default();
-    let mut atomic = ProtocolTally::default();
-    let mut deals = ProtocolTally::default();
+    let mut sink = args.sink("");
+    let mut tallies: [ProtocolTally; 5] = Default::default();
     let mut total_instances = 0usize;
     let mut cell = 0u64;
-    let mut json_cells: Vec<JsonCell> = Vec::new();
+    let mut json_cells: Vec<String> = Vec::new();
     for family in families {
         for rho in drifts {
             for (flabel, faults) in fault_levels() {
@@ -359,30 +178,38 @@ fn main() {
                 let cfg = SimConfig {
                     faults,
                     threads: args.threads,
-                    lock_profile: false,
                     ..SimConfig::new(workload)
                 };
                 let faulty_cell = rho > 0 || !faults.is_none();
+                // Generated once per cell, outside the timed region, so
+                // every protocol sees the identical spec list and the
+                // pay/s column measures the parallel runner only.
                 let specs = sim::workload::generate(&cfg.workload);
 
-                // Each protocol's report for the identical cell. The
-                // closure keeps row formatting and tallying uniform
-                // without erasing the harness types.
-                let mut row = |name: &str,
-                               tally: &mut ProtocolTally,
-                               report: SimReport,
-                               wall: f64| {
+                for (name, tally) in cli::PROTOCOLS.into_iter().zip(&mut tallies) {
+                    let run = cli::with_harness!(name, |h| h.supports(&cfg.workload).then(|| {
+                        let t0 = Instant::now();
+                        let report = sim::run_specs_with(&h, &specs, &cfg);
+                        (report, t0.elapsed().as_secs_f64())
+                    }));
+                    let Some((report, wall)) = run else {
+                        continue;
+                    };
                     let f = report.families.first().expect("one family per cell");
-                    json_cells.push(JsonCell {
-                        protocol: name.to_owned(),
-                        family: f.family.to_owned(),
-                        rho,
-                        faults: flabel.to_owned(),
-                        payments: f.instances,
-                        success: f.success.hits,
-                        griefed: f.griefed,
-                        violations: f.violations,
-                    });
+                    let pay_per_s = report.instances as f64 / wall.max(1e-9);
+                    json_cells.push(format!(
+                        "{{\"protocol\": \"{name}\", \"family\": \"{}\", \
+                         \"rho_ppm\": {rho}, \"faults\": \"{flabel}\", \"payments\": {}, \
+                         \"success\": {}, \"griefed\": {}, \"refunds\": {}, \"stuck\": {}, \
+                         \"violations\": {}}}",
+                        f.family,
+                        f.instances,
+                        f.success.hits,
+                        f.griefed,
+                        f.refunds,
+                        f.stuck,
+                        f.violations,
+                    ));
                     sink.emit(
                         &telemetry::Event::new("cell")
                             .with_u64("cell", cell)
@@ -393,25 +220,18 @@ fn main() {
                             .with_u64("payments", f.instances as u64)
                             .with_u64("success", f.success.hits as u64)
                             .with_u64("griefed", f.griefed as u64)
+                            .with_u64("refunds", f.refunds as u64)
+                            .with_u64("stuck", f.stuck as u64)
                             .with_u64("violations", f.violations as u64)
                             .with_f64("wall_s", wall)
-                            .with_f64("payments_per_sec", report.instances as f64 / wall.max(1e-9)),
+                            .with_f64("payments_per_sec", pay_per_s),
                     );
-                    tally.instances += report.instances;
                     tally.violations += report.violations;
                     tally.griefed += report.griefed;
                     if faulty_cell {
                         tally.faulty_cell_violations += report.violations;
                     }
                     total_instances += report.instances;
-                    let lat = match &f.latency {
-                        None => "-".to_owned(),
-                        Some(s) => format!(
-                            "{:.1}/{:.1}",
-                            s.p50 as f64 / 1_000.0,
-                            s.p99 as f64 / 1_000.0
-                        ),
-                    };
                     table.push(&[
                         name.to_owned(),
                         f.family.to_owned(),
@@ -423,45 +243,30 @@ fn main() {
                         f.refunds.to_string(),
                         f.stuck.to_string(),
                         f.violations.to_string(),
-                        lat,
-                        f.peak_locked
-                            .as_ref()
-                            .map(|s| s.p99.to_string())
-                            .unwrap_or_else(|| "-".to_owned()),
-                        format!("{:.0}", report.instances as f64 / wall.max(1e-9)),
+                        sim::metrics::render_latency_ms(&f.latency),
+                        dash_or(f.peak_locked.as_ref().map(|s| s.p99)),
+                        dash_or(report.peak_locked_global),
+                        report.peak_in_flight.to_string(),
+                        dash_or(f.spoke_load.as_ref().map(|s| s.max)),
+                        dash_or(
+                            f.packets
+                                .map(|p| format!("{}/{}/{}", p.complete, p.partial, p.total)),
+                        ),
+                        format!("{pay_per_s:.0}"),
                     ]);
-                };
-
-                let (r, w) = run_protocol_cell(&TimeBoundedHarness, &specs, &cfg);
-                row("timebounded", &mut tb, r, w);
-                if HtlcHarness.supports(&cfg.workload) {
-                    let (r, w) = run_protocol_cell(&HtlcHarness, &specs, &cfg);
-                    row("htlc", &mut htlc, r, w);
                 }
-                let (r, w) = run_protocol_cell(&InterledgerHarness::untuned(), &specs, &cfg);
-                row("ilp-untuned", &mut untuned, r, w);
-                let (r, w) = run_protocol_cell(&InterledgerHarness::atomic(), &specs, &cfg);
-                row("ilp-atomic", &mut atomic, r, w);
-                let (r, w) = run_protocol_cell(&DealsHarness, &specs, &cfg);
-                row("deals", &mut deals, r, w);
             }
         }
     }
 
-    if let Err(e) = sink.flush() {
-        eprintln!("telemetry flush failed: {e}");
-    }
-
-    println!("{}", table.render());
-    println!(
-        "instances: {total_instances} in {:.2} s ({} threads requested, {} cores); \
-         htlc skips packetized cells (supports() gate)",
-        t_all.elapsed().as_secs_f64(),
-        args.threads,
-        std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
+    args.finish_grid(
+        sink,
+        &table.render(),
+        total_instances,
+        t_all,
+        "; htlc skips packetized cells (supports() gate)",
     );
+    let [tb, htlc, untuned, atomic, deals] = &tallies;
     println!(
         "time-bounded: zero griefing: {} | zero violations: {}",
         check(tb.griefed == 0),
@@ -484,47 +289,14 @@ fn main() {
     );
     println!(
         "Claims: the time-bounded protocol alone combines guaranteed success \
-         with bounded refunds; HTLC griefs, untuned Interledger loses money, \
-         atomic Interledger and certified deals abort honest runs."
+         with bounded refunds — no-fault cells succeed 100%, faults cost it liveness, \
+         never conservation, and drift within the envelope costs nothing; HTLC griefs, \
+         untuned Interledger loses money, atomic Interledger and certified deals abort \
+         honest runs."
     );
 
     if !args.json.is_empty() {
-        let mut json = String::new();
-        let config_digest = experiments::digest::hex16(experiments::digest::fnv1a64(
-            format!("exp9 seed={} per_cell={}", args.seed, per_cell).as_bytes(),
-        ));
-        json.push_str("{\n");
-        json.push_str("  \"schema_version\": 1,\n");
-        json.push_str("  \"experiment\": \"exp9\",\n");
-        json.push_str(&format!("  \"config_digest\": \"{config_digest}\",\n"));
-        json.push_str(&format!("  \"quick\": {},\n", args.quick));
-        json.push_str(&format!("  \"seed\": {},\n", args.seed));
-        json.push_str(&format!("  \"payments_per_cell\": {per_cell},\n"));
-        json.push_str("  \"cells\": [\n");
-        for (i, c) in json_cells.iter().enumerate() {
-            json.push_str(&format!(
-                "    {{\"protocol\": \"{}\", \"family\": \"{}\", \
-                 \"rho_ppm\": {}, \"faults\": \"{}\", \"payments\": {}, \
-                 \"success\": {}, \"griefed\": {}, \"violations\": {}}}{}\n",
-                c.protocol,
-                c.family,
-                c.rho,
-                c.faults,
-                c.payments,
-                c.success,
-                c.griefed,
-                c.violations,
-                if i + 1 < json_cells.len() { "," } else { "" }
-            ));
-        }
-        json.push_str("  ]\n}\n");
-        if let Some(dir) = std::path::Path::new(&args.json).parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir).expect("create --json directory");
-            }
-        }
-        std::fs::write(&args.json, &json).expect("write --json file");
-        println!("{}", args.json);
+        cli::write_json(&args.json, &args.grid_json(per_cell, &[], &json_cells));
     }
 
     // Every printed criterion is an exit criterion: the comparison is

@@ -2,7 +2,7 @@
 //! memory, atomic checkpoints, bit-identical resume.
 //!
 //! A *campaign* runs a huge seeded workload (millions to tens of millions
-//! of payments) that no single [`crate::run_with`] call should hold in
+//! of payments) that no single [`crate::run_specs_with`] call should hold in
 //! memory or be allowed to lose to a crash. [`CampaignRunner`] chunks the
 //! workload into **epochs** — each a self-contained seeded
 //! [`WorkloadConfig`] derived from the campaign seed and the epoch index
@@ -1169,7 +1169,7 @@ impl CampaignReport {
     }
 
     /// Renders the machine-readable campaign artifact the nightly CI
-    /// uploads. `experiment` names the producing binary (`"exp8"`…);
+    /// uploads. `experiment` names the producing binary (`"exp9"`…);
     /// `extra` appends binary-specific top-level fields (already
     /// JSON-encoded values).
     pub fn to_json(&self, experiment: &str, extra: &[(&str, String)]) -> String {

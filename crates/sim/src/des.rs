@@ -835,22 +835,11 @@ impl<'a, H: ProtocolHarness> ShardSim<'a, H> {
 /// Open-system steady state over pre-generated specs: shards the venue
 /// set, runs one discrete-event simulation per shard on the worker pool,
 /// and merges deterministically (see the module docs; the public surface
-/// is [`crate::runner::run_open_specs_with`]).
+/// is [`crate::runner::run_open_specs_with`] and its siblings). The
+/// per-venue telemetry sidecar is moved out of the same merged shard
+/// outcomes as the report, so it costs nothing extra and matches it
+/// bit-for-bit.
 pub(crate) fn run_open_specs_des<H: ProtocolHarness>(
-    harness: &H,
-    specs: &[PaymentSpec],
-    cfg: &SimConfig,
-    liq: &LiquidityConfig,
-    routing: Option<&RoutingConfig>,
-) -> OpenReport {
-    run_open_specs_des_telemetry(harness, specs, cfg, liq, routing).0
-}
-
-/// [`run_open_specs_des`] plus the per-venue telemetry sidecar (the
-/// public surface is [`crate::runner::run_open_specs_with_telemetry`]).
-/// The sidecar is derived from the same merged shard outcomes as the
-/// report, so it costs nothing extra and matches it bit-for-bit.
-pub(crate) fn run_open_specs_des_telemetry<H: ProtocolHarness>(
     harness: &H,
     specs: &[PaymentSpec],
     cfg: &SimConfig,
@@ -859,8 +848,8 @@ pub(crate) fn run_open_specs_des_telemetry<H: ProtocolHarness>(
 ) -> (OpenReport, OpenTelemetry) {
     let raw = run_open_specs_raw(harness, specs, cfg, liq, routing);
     let telemetry = OpenTelemetry {
-        venues: raw.venues.clone(),
-        venue_events: raw.venue_events.clone(),
+        venues: raw.venues,
+        venue_events: raw.venue_events,
         routing: raw.routing,
     };
     let mut batch = BatchMetrics::with_capacity(raw.results.len());

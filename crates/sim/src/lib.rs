@@ -22,17 +22,16 @@
 //!   latency, peak locked value and lock-concurrency profiles, aggregated
 //!   contention-free across crossbeam workers into percentile summaries.
 //!
-//! The driver is [`runner::run_with`]: instances are batched onto
+//! The driver is [`runner::run_specs_with`] over the specs
+//! [`workload::generate`] draws: instances are batched onto
 //! [`experiments::parallel_map`] workers, every engine runs in
 //! counters-only trace mode, and batch workers carry queue high-water
 //! marks forward so rebuilt engines skip reallocation. Reports are
-//! **bit-identical across thread counts**. [`runner::run`] is the
-//! historical time-bounded entry point (a [`TimeBoundedHarness`]
-//! campaign), bit-identical to the pre-refactor simulator.
+//! **bit-identical across thread counts**.
 //!
 //! Since the shared-liquidity layer ([`protocol::liquidity`]), the
 //! simulator also runs **open-system** campaigns:
-//! [`runner::run_open_with`] is a discrete-event simulation over a
+//! [`runner::run_open_specs_with`] is a discrete-event simulation over a
 //! global event queue — arrivals, admission, queueing, lock/release
 //! replay and patience expiry are all in-band events executed in
 //! `(time, rank, seq)` order against the carried
@@ -54,14 +53,16 @@
 //! spent liquidity ([`protocol::RoutingConfig`]). Routed reports carry
 //! [`metrics::RoutingStats`] and stay bit-identical across threads.
 //!
-//! The `exp8` binary sweeps success-rate × drift × faults across the
-//! families for the time-bounded protocol (E8); `exp9` runs the same grid
-//! through **all** protocol harnesses and prints the paper-style
-//! comparison table (E9); `exp10` sweeps offered load × collateral
+//! The `exp9` binary sweeps success-rate × drift × faults across the
+//! families through **all** protocol harnesses and prints the paper-style
+//! comparison table (E8 is its time-bounded column, E9 the whole
+//! table); `exp10` sweeps offered load × collateral
 //! budget × protocol and prints the utilization/success/goodput frontier
 //! (E10); `exp11` sweeps success/goodput vs network size × rebalancing
 //! period × protocol with dynamic routing against the static baseline
-//! (E11). The workspace `bench` binary's `sim` section measures
+//! (E11). The three binaries share one flag parser and one crash-safe
+//! campaign driver (`--campaign N`, checkpoint/resume, telemetry, RSS
+//! gate). The workspace `bench` binary's `sim` section measures
 //! payments/sec per thread count into `BENCH_sim.json`, its
 //! `protocols` section measures per-harness throughput into
 //! `BENCH_protocols.json`, its `open` section measures the sharded
@@ -73,14 +74,16 @@
 //! use sim::prelude::*;
 //!
 //! let workload = WorkloadConfig::new(TopologyFamily::HubAndSpoke { spokes: 8 }, 200, 42);
-//! let report = sim::run(&SimConfig::new(workload));
+//! let cfg = SimConfig::new(workload);
+//! let specs = sim::workload::generate(&cfg.workload);
+//! let report = sim::run_specs_with(&TimeBoundedHarness, &specs, &cfg);
 //! let hub = report.family("hub").unwrap();
 //! assert!(hub.success.is_perfect());          // no faults ⇒ Theorem 1
 //! assert!(report.conserved());                // money conservation
 //! assert!(report.peak_in_flight > 1);         // genuinely concurrent
 //!
 //! // The same campaign through a baseline:
-//! let htlc = sim::run_with(&HtlcHarness, &SimConfig::new(workload));
+//! let htlc = sim::run_specs_with(&HtlcHarness, &specs, &cfg);
 //! assert_eq!(htlc.instances, report.instances);
 //! ```
 
@@ -89,11 +92,11 @@
 
 pub mod campaign;
 mod des;
-pub mod faults;
 pub mod metrics;
 pub mod runner;
-pub mod sketch;
-pub mod workload;
+
+pub use protocol::{faults, workload};
+pub use telemetry::sketch;
 
 pub use campaign::{
     CampaignConfig, CampaignReport, CampaignRunner, CampaignTally, EpochEvent, EpochSummary,
@@ -104,10 +107,8 @@ pub use metrics::{
     PacketStats, RoutingStats, SimReport, VenueEvents,
 };
 pub use runner::{
-    run, run_instance, run_instance_with, run_open, run_open_routed_with,
-    run_open_specs_routed_with, run_open_specs_routed_with_telemetry, run_open_specs_with,
-    run_open_specs_with_telemetry, run_open_with, run_open_with_telemetry, run_specs,
-    run_specs_with, run_with, SimConfig,
+    run_instance_isolated, run_instance_with, run_open_specs_routed_with, run_open_specs_with,
+    run_open_specs_with_telemetry, run_specs_with, SimConfig,
 };
 pub use sketch::MergeableSketch;
 pub use workload::{ArrivalProcess, PaymentSpec, TopologyFamily, WorkloadConfig};
@@ -128,10 +129,8 @@ pub mod prelude {
         PacketStats, RoutingStats, SimReport, VenueEvents,
     };
     pub use crate::runner::{
-        run, run_instance, run_instance_with, run_open, run_open_routed_with,
-        run_open_specs_routed_with, run_open_specs_routed_with_telemetry, run_open_specs_with,
-        run_open_specs_with_telemetry, run_open_with, run_open_with_telemetry, run_specs,
-        run_specs_with, run_with, SimConfig,
+        run_instance_isolated, run_instance_with, run_open_specs_routed_with, run_open_specs_with,
+        run_open_specs_with_telemetry, run_specs_with, SimConfig,
     };
     pub use crate::workload::{ArrivalProcess, PaymentSpec, TopologyFamily, WorkloadConfig};
     pub use anta::net::NetFaults;

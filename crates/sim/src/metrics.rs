@@ -299,7 +299,7 @@ impl SimReport {
 }
 
 /// Liquidity-side statistics of one open-system campaign (see
-/// [`crate::run_open_with`]): what the admission controller did, how hard
+/// [`crate::run_open_specs_with`]): what the admission controller did, how hard
 /// the collateral budgets were driven, and whether the accounting stayed
 /// sound.
 #[derive(Debug, Clone)]

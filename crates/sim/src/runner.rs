@@ -12,19 +12,20 @@
 //! [`anta::trace::TraceMode::CountersOnly`] so no message payload is ever
 //! cloned into a trace.
 //!
-//! The protocol-agnostic entry points are [`run_with`] /
-//! [`run_specs_with`] / [`run_instance_with`]; the historical
-//! [`run`] / [`run_specs`] / [`run_instance`] functions drive the
-//! time-bounded protocol through its [`TimeBoundedHarness`] and produce
-//! the same reports the pre-refactor simulator did, bit for bit.
+//! Six entry points, each generic over the harness and taking
+//! pre-generated specs (callers write [`crate::workload::generate`] themselves):
+//! [`run_specs_with`] for a closed-world campaign, [`run_instance_with`]
+//! and [`run_instance_isolated`] for one instance, and
+//! [`run_open_specs_with`], [`run_open_specs_routed_with`] and
+//! [`run_open_specs_with_telemetry`] for the open system.
 
 use crate::faults::FaultPlan;
 use crate::metrics::{BatchMetrics, InstanceResult, OpenReport, OpenTelemetry, SimReport};
-use crate::workload::{self, PaymentSpec, WorkloadConfig};
+use crate::workload::{PaymentSpec, WorkloadConfig};
 use experiments::parallel_map;
 use protocol::harness::{run_harness_instance, ProtocolHarness};
 use protocol::liquidity::LiquidityConfig;
-use protocol::timebounded::TimeBoundedHarness;
+use protocol::RoutingConfig;
 
 /// One simulation campaign.
 #[derive(Debug, Clone, Copy)]
@@ -57,18 +58,12 @@ impl SimConfig {
     }
 }
 
-/// Generates the workload and simulates every instance through `harness`.
+/// Simulates every spec (from [`crate::workload::generate`]) through `harness`
+/// as an independent closed-world instance.
 ///
 /// Panics if the harness does not support the configured workload (check
 /// [`ProtocolHarness::supports`] first when sweeping protocol × workload
 /// grids).
-pub fn run_with<H: ProtocolHarness>(harness: &H, cfg: &SimConfig) -> SimReport {
-    let specs = workload::generate(&cfg.workload);
-    run_specs_with(harness, &specs, cfg)
-}
-
-/// Simulates pre-generated specs through `harness` (callers that need the
-/// spec list too).
 pub fn run_specs_with<H: ProtocolHarness>(
     harness: &H,
     specs: &[PaymentSpec],
@@ -187,32 +182,11 @@ pub fn run_instance_with<H: ProtocolHarness>(
     }
 }
 
-/// Generates the workload and simulates every instance of the time-bounded
-/// protocol (the historical entry point; equivalent to [`run_with`] with a
-/// [`TimeBoundedHarness`]).
-pub fn run(cfg: &SimConfig) -> SimReport {
-    run_with(&TimeBoundedHarness, cfg)
-}
-
-/// Simulates pre-generated specs of the time-bounded protocol.
-pub fn run_specs(specs: &[PaymentSpec], cfg: &SimConfig) -> SimReport {
-    run_specs_with(&TimeBoundedHarness, specs, cfg)
-}
-
-/// Runs one time-bounded payment instance end to end.
-pub fn run_instance(
-    spec: &PaymentSpec,
-    plan: &FaultPlan,
-    lock_profile: bool,
-    queue_high: &mut usize,
-) -> InstanceResult {
-    run_instance_with(&TimeBoundedHarness, spec, plan, lock_profile, queue_high)
-}
-
-/// Generates the workload and runs it as an **open system** against
-/// finite escrow liquidity: payments are admitted in arrival order
-/// against per-venue collateral budgets, so success becomes a function of
-/// offered load, not only of faults and drift.
+/// Runs pre-generated specs as an **open system** against finite escrow
+/// liquidity. `specs` must be in nondecreasing arrival order —
+/// [`crate::workload::generate`] produces exactly that. Payments are admitted
+/// in arrival order against per-venue collateral budgets, so success
+/// becomes a function of offered load, not only of faults and drift.
 ///
 /// The campaign is one **discrete-event simulation**: arrivals, FIFO
 /// admission/queueing, the lock/release audit stream and patience
@@ -255,57 +229,18 @@ pub fn run_instance(
 /// [`LiquidityStats::budget_violations`]: crate::metrics::LiquidityStats::budget_violations
 /// [`LiquidityStats::drained`]: crate::metrics::LiquidityStats::drained
 /// [`LiquidityStats::rejected_wait`]: crate::metrics::LiquidityStats::rejected_wait
-pub fn run_open_with<H: ProtocolHarness>(
-    harness: &H,
-    cfg: &SimConfig,
-    liq: &LiquidityConfig,
-) -> OpenReport {
-    let specs = workload::generate(&cfg.workload);
-    run_open_specs_with(harness, &specs, cfg, liq)
-}
-
-/// Open-system steady state over pre-generated specs (see
-/// [`run_open_with`]). `specs` must be in nondecreasing arrival order —
-/// [`workload::generate`] produces exactly that.
 pub fn run_open_specs_with<H: ProtocolHarness>(
     harness: &H,
     specs: &[PaymentSpec],
     cfg: &SimConfig,
     liq: &LiquidityConfig,
 ) -> OpenReport {
-    crate::des::run_open_specs_des(harness, specs, cfg, liq, None)
-}
-
-/// [`run_open_specs_with`] plus the deterministic per-venue telemetry
-/// sidecar ([`crate::metrics::OpenTelemetry`]): end-of-run venue samples
-/// and DES activity counters, derived from the same merged shard
-/// outcomes as the report. The sidecar adds no simulation work and is
-/// bit-identical across thread counts; it exists so grid binaries (e.g.
-/// `exp10 --telemetry`) can emit venue series per cell without the
-/// campaign layer.
-pub fn run_open_specs_with_telemetry<H: ProtocolHarness>(
-    harness: &H,
-    specs: &[PaymentSpec],
-    cfg: &SimConfig,
-    liq: &LiquidityConfig,
-) -> (OpenReport, OpenTelemetry) {
-    crate::des::run_open_specs_des_telemetry(harness, specs, cfg, liq, None)
-}
-
-/// [`run_open_with`] plus the per-venue telemetry sidecar (see
-/// [`run_open_specs_with_telemetry`]).
-pub fn run_open_with_telemetry<H: ProtocolHarness>(
-    harness: &H,
-    cfg: &SimConfig,
-    liq: &LiquidityConfig,
-) -> (OpenReport, OpenTelemetry) {
-    let specs = workload::generate(&cfg.workload);
-    run_open_specs_with_telemetry(harness, &specs, cfg, liq)
+    crate::des::run_open_specs_des(harness, specs, cfg, liq, None).0
 }
 
 /// Open-system steady state with **liquidity-aware dynamic routing**
-/// (network families only — [`workload::TopologyFamily::ScaleFree`] /
-/// [`workload::TopologyFamily::SmallWorld`]): each arrival is routed by
+/// (network families only — [`crate::workload::TopologyFamily::ScaleFree`] /
+/// [`crate::workload::TopologyFamily::SmallWorld`]): each arrival is routed by
 /// a [`protocol::Router`] over the live book instead of its pinned
 /// static path, optionally splitting across venue-disjoint paths and
 /// with periodic rebalancing flows restoring spent liquidity (see
@@ -318,32 +253,28 @@ pub fn run_open_specs_routed_with<H: ProtocolHarness>(
     specs: &[PaymentSpec],
     cfg: &SimConfig,
     liq: &LiquidityConfig,
-    routing: &protocol::RoutingConfig,
+    routing: &RoutingConfig,
 ) -> OpenReport {
-    crate::des::run_open_specs_des(harness, specs, cfg, liq, Some(routing))
+    crate::des::run_open_specs_des(harness, specs, cfg, liq, Some(routing)).0
 }
 
-/// [`run_open_specs_routed_with`] plus the telemetry sidecar, whose
-/// `routing` counters mirror the report's.
-pub fn run_open_specs_routed_with_telemetry<H: ProtocolHarness>(
+/// [`run_open_specs_with`] — or, with `routing`,
+/// [`run_open_specs_routed_with`] — plus the deterministic per-venue
+/// telemetry sidecar ([`crate::metrics::OpenTelemetry`]): end-of-run
+/// venue samples, DES activity counters and, for routed runs, the
+/// report's routing counters, all derived from the same merged shard
+/// outcomes as the report. The sidecar adds no simulation work and is
+/// bit-identical across thread counts; it exists so grid binaries (e.g.
+/// `exp10 --telemetry`) can emit venue series per cell without the
+/// campaign layer.
+pub fn run_open_specs_with_telemetry<H: ProtocolHarness>(
     harness: &H,
     specs: &[PaymentSpec],
     cfg: &SimConfig,
     liq: &LiquidityConfig,
-    routing: &protocol::RoutingConfig,
+    routing: Option<&RoutingConfig>,
 ) -> (OpenReport, OpenTelemetry) {
-    crate::des::run_open_specs_des_telemetry(harness, specs, cfg, liq, Some(routing))
-}
-
-/// [`run_open_specs_routed_with`] over freshly generated specs.
-pub fn run_open_routed_with<H: ProtocolHarness>(
-    harness: &H,
-    cfg: &SimConfig,
-    liq: &LiquidityConfig,
-    routing: &protocol::RoutingConfig,
-) -> OpenReport {
-    let specs = workload::generate(&cfg.workload);
-    run_open_specs_routed_with(harness, &specs, cfg, liq, routing)
+    crate::des::run_open_specs_des(harness, specs, cfg, liq, routing)
 }
 
 /// The retired two-phase open-system sweep, kept as a **differential
@@ -576,20 +507,27 @@ pub(crate) mod legacy {
     }
 }
 
-/// Open-system campaign of the time-bounded protocol (see
-/// [`run_open_with`]).
-pub fn run_open(cfg: &SimConfig, liq: &LiquidityConfig) -> OpenReport {
-    run_open_with(&TimeBoundedHarness, cfg, liq)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::metrics::InstanceOutcome;
-    use crate::workload::{ArrivalProcess, TopologyFamily};
+    use crate::workload::{self, ArrivalProcess, TopologyFamily};
     use anta::net::NetFaults;
     use anta::time::SimDuration;
-    use protocol::{DealsHarness, HtlcHarness, InterledgerHarness};
+    use protocol::{DealsHarness, HtlcHarness, InterledgerHarness, TimeBoundedHarness};
+
+    fn run_with<H: ProtocolHarness>(harness: &H, cfg: &SimConfig) -> SimReport {
+        run_specs_with(harness, &workload::generate(&cfg.workload), cfg)
+    }
+
+    fn run(cfg: &SimConfig) -> SimReport {
+        run_with(&TimeBoundedHarness, cfg)
+    }
+
+    fn run_open(cfg: &SimConfig, liq: &LiquidityConfig) -> OpenReport {
+        let specs = workload::generate(&cfg.workload);
+        run_open_specs_with(&TimeBoundedHarness, &specs, cfg, liq)
+    }
 
     fn small(family: TopologyFamily, payments: usize, seed: u64) -> SimConfig {
         SimConfig {
@@ -700,7 +638,13 @@ mod tests {
             workload::generate(&WorkloadConfig::new(TopologyFamily::Linear { n: 2 }, 4, 11));
         let mut queue_high = 0;
         for spec in &specs {
-            let r = run_instance(spec, &FaultPlan::NONE, false, &mut queue_high);
+            let r = run_instance_with(
+                &TimeBoundedHarness,
+                spec,
+                &FaultPlan::NONE,
+                false,
+                &mut queue_high,
+            );
             assert_eq!(r.outcome, InstanceOutcome::Success);
             assert!(r.lock_profile.is_empty(), "profiling off");
             assert!(r.events > 0);

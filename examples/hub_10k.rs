@@ -40,7 +40,8 @@ fn main() {
     };
 
     let t0 = std::time::Instant::now();
-    let report = crosschain::sim::run(&cfg);
+    let specs = crosschain::sim::workload::generate(&cfg.workload);
+    let report = crosschain::sim::run_specs_with(&TimeBoundedHarness, &specs, &cfg);
     let wall = t0.elapsed();
 
     let hub = report.family("hub").expect("hub workload");

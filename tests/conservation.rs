@@ -112,7 +112,8 @@ proptest! {
         use crosschain::anta::net::NetFaults;
         use crosschain::anta::time::SimDuration;
         use crosschain::sim::{
-            workload, FaultPlan, InstanceOutcome, SimConfig, TopologyFamily, WorkloadConfig,
+            workload, FaultPlan, InstanceOutcome, SimConfig, TimeBoundedHarness, TopologyFamily,
+            WorkloadConfig,
         };
         let faults = FaultPlan {
             crash_permille: crash,
@@ -133,7 +134,13 @@ proptest! {
         let specs = workload::generate(&config);
         let mut queue_high = 0;
         for spec in &specs {
-            let r = crosschain::sim::run_instance(spec, &faults, false, &mut queue_high);
+            let r = crosschain::sim::run_instance_with(
+                &TimeBoundedHarness,
+                spec,
+                &faults,
+                false,
+                &mut queue_high,
+            );
             prop_assert!(
                 r.outcome != InstanceOutcome::Violation,
                 "instance {} (faults {:?}) violated conservation",
@@ -142,7 +149,7 @@ proptest! {
             );
         }
         // The aggregated report agrees with the per-instance view.
-        let report = crosschain::sim::run_specs(&specs, &SimConfig {
+        let report = crosschain::sim::run_specs_with(&TimeBoundedHarness, &specs, &SimConfig {
             faults,
             threads: 1,
             lock_profile: false,

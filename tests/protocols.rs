@@ -53,7 +53,7 @@ fn faulty_plan() -> FaultPlan {
 /// `threads = 4` — mirroring the time-bounded check in `tests/sim.rs`.
 #[test]
 fn every_protocol_report_is_identical_across_thread_counts() {
-    let run_one = |harness: &dyn Fn(&SimConfig) -> SimReport, threads: usize| {
+    let run_one = |harness: &dyn Fn(&[PaymentSpec], &SimConfig) -> SimReport, threads: usize| {
         let cfg = SimConfig {
             threads,
             faults: faulty_plan(),
@@ -65,29 +65,33 @@ fn every_protocol_report_is_identical_across_thread_counts() {
                 0xE9,
             ))
         };
-        harness(&cfg)
+        harness(&crosschain::sim::workload::generate(&cfg.workload), &cfg)
     };
-    type HarnessRunner = Box<dyn Fn(&SimConfig) -> SimReport>;
+    type HarnessRunner = Box<dyn Fn(&[PaymentSpec], &SimConfig) -> SimReport>;
     let harnesses: Vec<(&str, HarnessRunner)> = vec![
         (
             "timebounded",
-            Box::new(|cfg| crosschain::sim::run_with(&TimeBoundedHarness, cfg)),
+            Box::new(|specs, cfg| crosschain::sim::run_specs_with(&TimeBoundedHarness, specs, cfg)),
         ),
         (
             "htlc",
-            Box::new(|cfg| crosschain::sim::run_with(&HtlcHarness, cfg)),
+            Box::new(|specs, cfg| crosschain::sim::run_specs_with(&HtlcHarness, specs, cfg)),
         ),
         (
             "ilp-untuned",
-            Box::new(|cfg| crosschain::sim::run_with(&InterledgerHarness::untuned(), cfg)),
+            Box::new(|specs, cfg| {
+                crosschain::sim::run_specs_with(&InterledgerHarness::untuned(), specs, cfg)
+            }),
         ),
         (
             "ilp-atomic",
-            Box::new(|cfg| crosschain::sim::run_with(&InterledgerHarness::atomic(), cfg)),
+            Box::new(|specs, cfg| {
+                crosschain::sim::run_specs_with(&InterledgerHarness::atomic(), specs, cfg)
+            }),
         ),
         (
             "deals",
-            Box::new(|cfg| crosschain::sim::run_with(&DealsHarness, cfg)),
+            Box::new(|specs, cfg| crosschain::sim::run_specs_with(&DealsHarness, specs, cfg)),
         ),
     ];
     for (name, harness) in &harnesses {
@@ -120,12 +124,13 @@ fn comparative_claims_hold_on_a_faulty_cell() {
         lock_profile: false,
         ..SimConfig::new(workload)
     };
-    let tb = crosschain::sim::run_with(&TimeBoundedHarness, &cfg);
+    let specs = crosschain::sim::workload::generate(&cfg.workload);
+    let tb = crosschain::sim::run_specs_with(&TimeBoundedHarness, &specs, &cfg);
     assert_eq!(tb.griefed, 0, "time-bounded never griefs");
     assert_eq!(tb.violations, 0, "time-bounded never violates");
-    let htlc = crosschain::sim::run_with(&HtlcHarness, &cfg);
+    let htlc = crosschain::sim::run_specs_with(&HtlcHarness, &specs, &cfg);
     assert!(htlc.griefed > 0, "HTLC must grief under abandonment faults");
-    let untuned = crosschain::sim::run_with(&InterledgerHarness::untuned(), &cfg);
+    let untuned = crosschain::sim::run_specs_with(&InterledgerHarness::untuned(), &specs, &cfg);
     assert!(
         untuned.violations > 0,
         "the untuned schedule must lose money under drift"
