@@ -23,7 +23,7 @@
 //!
 //! Everything here is deterministic given `(family, seed)`: graph
 //! generation draws from a salted [`StdRng`] and the pathfinder's
-//! tie-breaking is a total order (see [`Router::route`]), which is what
+//! tie-breaking is a total order (see [`Router`]), which is what
 //! lets routed open-system reports stay bit-identical across thread
 //! counts.
 
@@ -257,20 +257,36 @@ impl Default for RoutingConfig {
     }
 }
 
-/// Label entry of the layered shortest-path scratch; `stamp` versioning
-/// makes reuse O(1) — no per-call clearing.
-const UNSET: u32 = u32::MAX;
-
 /// Bounded-hop cheapest-feasible-path search with reusable scratch.
 ///
-/// The router runs a layered relaxation (Bellman–Ford over path length):
-/// layer `k` holds the cheapest feasible walk of exactly `k` hops from
-/// the source to each node, and the search stops at the first layer that
-/// reaches the destination. An edge is *feasible* when the liquidity
-/// book can cover the payment's per-hop amount at that venue right now
-/// ([`LiquidityBook::fits`]); its *cost* is the venue's committed load
-/// ([`LiquidityBook::load_at`]), so among feasible routes the search
-/// prefers idle venues.
+/// An edge is *feasible* when the liquidity book can cover the payment's
+/// per-hop amount at that venue right now ([`LiquidityBook::fits`]) and
+/// the venue is not banned by an earlier leg of a split; its *cost* is
+/// the venue's committed load ([`LiquidityBook::load_at`]), so among
+/// feasible routes the search prefers idle venues. A search runs three
+/// passes over the feasible edges:
+///
+/// 1. **forward BFS** from the source, layer by layer, stopping as soon
+///    as the destination is discovered at depth `d` (or returning `None`
+///    when the frontier empties or `d` would exceed the hop cap) — a
+///    failed search costs one O(V + E) sweep;
+/// 2. **backward marking** from the destination: a node at depth `k - 1`
+///    joins the *shortest-path DAG* when it has a feasible edge to a DAG
+///    node at depth `k`, so the DAG holds exactly the nodes that lie on
+///    some `d`-hop feasible path;
+/// 3. **cost labels over the DAG** in increasing depth: each node keeps
+///    the cheapest DAG predecessor, scanning its own adjacency list in
+///    ascending `(neighbour, venue)` order and replacing a label only on
+///    a strictly lower cost. That list order is the order in which the
+///    sweep of rule 3 below offers candidates to the node (source nodes
+///    ascending, each source's list in `(neighbour, venue)` order), so
+///    both keep the same label.
+///
+/// Every `d`-hop walk to the destination is a shortest path, so each of
+/// its prefixes ends at a node of its own BFS depth, and every
+/// predecessor that could label a DAG node is itself a DAG node: the
+/// labels are those of a layered relaxation over all walks of exactly
+/// `k` hops, restricted to where they can matter.
 ///
 /// # Deterministic tie-breaking contract
 ///
@@ -293,13 +309,188 @@ const UNSET: u32 = u32::MAX;
 /// 1-vs-4-thread digest tests pin.
 #[derive(Debug, Default)]
 pub struct Router {
-    cost: Vec<u64>,
-    prev_node: Vec<u32>,
-    prev_venue: Vec<u32>,
-    stamp: Vec<u64>,
+    scratch: Scratch,
+    /// Venue `v` is banned while `banned[v] == ban_tick`; bumping the
+    /// tick lifts every ban in O(1).
+    banned: Vec<u64>,
+    ban_tick: u64,
+}
+
+/// Per-node search state, reused across calls. A node's fields are
+/// valid only while its `stamp` equals the scratch's current tick.
+#[derive(Debug, Clone, Copy, Default)]
+struct Label {
+    stamp: u64,
+    depth: u32,
+    on_dag: bool,
+    cost: u64,
+    prev_node: u32,
+    prev_venue: VenueId,
+}
+
+#[derive(Debug, Default)]
+struct Scratch {
+    labels: Vec<Label>,
+    /// BFS visit order: the source, then each depth's nodes contiguously.
+    queue: Vec<u32>,
+    /// Shortest-path DAG nodes in non-increasing depth (destination
+    /// first, source last).
+    dag: Vec<u32>,
     tick: u64,
-    nodes: usize,
-    layers: usize,
+}
+
+/// The edge rule of one search: feasibility and cost per venue.
+struct Edges<'a> {
+    /// `None` means the empty network: every edge feasible at zero cost.
+    book: Option<&'a LiquidityBook>,
+    amount: u64,
+    banned: &'a [u64],
+    ban_tick: u64,
+}
+
+impl Edges<'_> {
+    fn feasible(&self, venue: VenueId) -> bool {
+        if self.banned.get(venue as usize) == Some(&self.ban_tick) {
+            return false;
+        }
+        match self.book {
+            Some(b) => b.fits(&[(venue, self.amount)]),
+            None => true,
+        }
+    }
+
+    fn cost(&self, venue: VenueId) -> u64 {
+        self.book.map_or(0, |b| b.load_at(venue))
+    }
+}
+
+impl Scratch {
+    /// Forward BFS from `src` over the edges `feasible` admits, for at
+    /// most `max_hops` layers, recording each visited node's depth and
+    /// its place in `queue`. Returns the depth of `dst` as soon as it is
+    /// discovered, `None` when it is not within `max_hops`.
+    fn bfs(
+        &mut self,
+        g: &VenueGraph,
+        src: u32,
+        dst: Option<u32>,
+        max_hops: usize,
+        feasible: impl Fn(VenueId) -> bool,
+    ) -> Option<usize> {
+        if self.labels.len() < g.nodes() {
+            self.labels.resize(g.nodes(), Label::default());
+        }
+        self.tick += 1;
+        let t = self.tick;
+        self.labels[src as usize] = Label {
+            stamp: t,
+            ..Label::default()
+        };
+        self.queue.clear();
+        self.queue.push(src);
+        let mut head = 0;
+        for depth in 1..=max_hops {
+            let end = self.queue.len();
+            if head == end {
+                return None;
+            }
+            for i in head..end {
+                let u = self.queue[i];
+                for &(v, venue) in g.neighbors(u) {
+                    if self.labels[v as usize].stamp == t || !feasible(venue) {
+                        continue;
+                    }
+                    self.labels[v as usize] = Label {
+                        stamp: t,
+                        depth: depth as u32,
+                        ..Label::default()
+                    };
+                    self.queue.push(v);
+                    if dst == Some(v) {
+                        return Some(depth);
+                    }
+                }
+            }
+            head = end;
+        }
+        None
+    }
+
+    /// The three-pass search described on [`Router`].
+    fn search(
+        &mut self,
+        g: &VenueGraph,
+        src: u32,
+        dst: u32,
+        max_hops: usize,
+        edges: &Edges,
+    ) -> Option<VenueRoute> {
+        let nodes = g.nodes();
+        if src == dst || max_hops == 0 || src as usize >= nodes || dst as usize >= nodes {
+            return None;
+        }
+        let hops = self.bfs(g, src, Some(dst), max_hops, |v| edges.feasible(v))?;
+        let t = self.tick;
+        let labels = &mut self.labels;
+
+        // Backward pass: mark the shortest-path DAG, destination first.
+        self.dag.clear();
+        self.dag.push(dst);
+        labels[dst as usize].on_dag = true;
+        let mut i = 0;
+        while let Some(&v) = self.dag.get(i) {
+            i += 1;
+            let below = labels[v as usize].depth.wrapping_sub(1);
+            for &(u, venue) in g.neighbors(v) {
+                let l = &labels[u as usize];
+                if l.stamp == t && l.depth == below && !l.on_dag && edges.feasible(venue) {
+                    labels[u as usize].on_dag = true;
+                    self.dag.push(u);
+                }
+            }
+        }
+
+        // Cost labels in increasing depth: the source is the last DAG
+        // node and keeps its zero cost.
+        for &v in self.dag.iter().rev().skip(1) {
+            let below = labels[v as usize].depth - 1;
+            let mut best: Option<(u64, u32, VenueId)> = None;
+            for &(u, venue) in g.neighbors(v) {
+                let l = &labels[u as usize];
+                if l.stamp != t || !l.on_dag || l.depth != below || !edges.feasible(venue) {
+                    continue;
+                }
+                let cost = l.cost.saturating_add(edges.cost(venue));
+                if !matches!(best, Some((c, _, _)) if c <= cost) {
+                    best = Some((cost, u, venue));
+                }
+            }
+            let (cost, prev_node, prev_venue) =
+                best.expect("every DAG node but the source has a DAG predecessor");
+            let l = &mut labels[v as usize];
+            l.cost = cost;
+            l.prev_node = prev_node;
+            l.prev_venue = prev_venue;
+        }
+
+        let mut venues = vec![0; hops];
+        let mut node = dst;
+        for slot in venues.iter_mut().rev() {
+            let l = &labels[node as usize];
+            *slot = l.prev_venue;
+            node = l.prev_node;
+        }
+        debug_assert_eq!(node, src);
+        Some(VenueRoute::new(venues))
+    }
+}
+
+/// Whether no venue appears twice in `venues`.
+fn distinct(venues: &[VenueId]) -> bool {
+    venues
+        .iter()
+        .enumerate()
+        .all(|(i, v)| !venues[..i].contains(v))
 }
 
 impl Router {
@@ -309,101 +500,12 @@ impl Router {
         Router::default()
     }
 
-    fn ensure(&mut self, nodes: usize, layers: usize) {
-        if nodes > self.nodes || layers > self.layers {
-            self.nodes = nodes.max(self.nodes);
-            self.layers = layers.max(self.layers);
-            let len = self.nodes * self.layers;
-            self.cost = vec![0; len];
-            self.prev_node = vec![UNSET; len];
-            self.prev_venue = vec![UNSET; len];
-            self.stamp = vec![0; len];
-        }
-    }
-
-    /// The layered relaxation core. `book == None` means "empty
-    /// network" (every edge feasible at zero cost), which is how static
-    /// shortest paths are computed at workload-generation time.
-    #[allow(clippy::too_many_arguments)]
-    fn search(
-        &mut self,
-        g: &VenueGraph,
-        src: u32,
-        dst: u32,
-        amount: u64,
-        max_hops: usize,
-        book: Option<&LiquidityBook>,
-        banned: &[bool],
-    ) -> Option<VenueRoute> {
-        let nodes = g.nodes();
-        if src == dst || max_hops == 0 || src as usize >= nodes || dst as usize >= nodes {
-            return None;
-        }
-        self.ensure(nodes, max_hops + 1);
-        self.tick += 1;
-        let t = self.tick;
-        let stride = self.nodes;
-        self.stamp[src as usize] = t;
-        self.cost[src as usize] = 0;
-        for k in 0..max_hops {
-            let mut layer_alive = false;
-            for u in 0..nodes {
-                let iu = k * stride + u;
-                if self.stamp[iu] != t {
-                    continue;
-                }
-                let cu = self.cost[iu];
-                for &(nbr, venue) in g.neighbors(u as u32) {
-                    if banned.get(venue as usize).copied().unwrap_or(false) {
-                        continue;
-                    }
-                    let step = match book {
-                        Some(b) => {
-                            if !b.fits(&[(venue, amount)]) {
-                                continue;
-                            }
-                            b.load_at(venue)
-                        }
-                        None => 0,
-                    };
-                    let iv = (k + 1) * stride + nbr as usize;
-                    let nc = cu.saturating_add(step);
-                    if self.stamp[iv] != t || nc < self.cost[iv] {
-                        self.stamp[iv] = t;
-                        self.cost[iv] = nc;
-                        self.prev_node[iv] = u as u32;
-                        self.prev_venue[iv] = venue;
-                        layer_alive = true;
-                    }
-                }
-            }
-            let id = (k + 1) * stride + dst as usize;
-            if self.stamp[id] == t {
-                let mut venues = Vec::with_capacity(k + 1);
-                let mut node = dst as usize;
-                let mut layer = k + 1;
-                while layer > 0 {
-                    let i = layer * stride + node;
-                    venues.push(self.prev_venue[i]);
-                    node = self.prev_node[i] as usize;
-                    layer -= 1;
-                }
-                venues.reverse();
-                return Some(VenueRoute::new(venues));
-            }
-            if !layer_alive {
-                return None;
-            }
-        }
-        None
-    }
-
     /// The cheapest feasible path from `src` to `dst` for a payment
     /// carrying `amount` per hop, under the tie-breaking contract above.
     /// `None` when no path of at most `max_hops` venues fits the book at
-    /// this instant. The returned route's *aggregate* demand is verified
-    /// against the book (a minimal-cost walk can revisit a venue; such
-    /// walks are rejected rather than over-admitted).
+    /// this instant. A hop-minimal path never revisits a venue, so every
+    /// venue carries `amount` exactly once and the per-hop feasibility
+    /// test already covers the route's aggregate demand.
     pub fn route(
         &mut self,
         g: &VenueGraph,
@@ -413,15 +515,19 @@ impl Router {
         max_hops: usize,
         book: &LiquidityBook,
     ) -> Option<VenueRoute> {
-        let path = self.search(g, src, dst, amount, max_hops, Some(book), &[])?;
-        let mut demand: Vec<(VenueId, u64)> = Vec::with_capacity(path.hops());
-        for &v in &path.venues {
-            match demand.iter_mut().find(|(dv, _)| *dv == v) {
-                Some((_, a)) => *a += amount,
-                None => demand.push((v, amount)),
-            }
-        }
-        book.fits(&demand).then_some(path)
+        let edges = Edges {
+            book: Some(book),
+            amount,
+            banned: &[],
+            ban_tick: 0,
+        };
+        let path = self.scratch.search(g, src, dst, max_hops, &edges)?;
+        debug_assert!(
+            distinct(&path.venues)
+                && book.fits(&path.venues.iter().map(|&v| (v, amount)).collect::<Vec<_>>()),
+            "a hop-minimal feasible path is simple and fits the book"
+        );
+        Some(path)
     }
 
     /// Splits the payment over `parts` venue-disjoint feasible paths:
@@ -446,16 +552,26 @@ impl Router {
         }
         let base = amount / parts as u64;
         let rem = (amount % parts as u64) as usize;
-        let mut banned = vec![false; g.venues()];
+        if self.banned.len() < g.venues() {
+            self.banned.resize(g.venues(), 0);
+        }
+        self.ban_tick += 1;
         let mut out = Vec::with_capacity(parts);
         for j in 0..parts {
             let share = base + u64::from(j < rem);
-            let path = self.search(g, src, dst, share, max_hops, Some(book), &banned)?;
+            let edges = Edges {
+                book: Some(book),
+                amount: share,
+                banned: &self.banned,
+                ban_tick: self.ban_tick,
+            };
+            let path = self.scratch.search(g, src, dst, max_hops, &edges)?;
             for &v in &path.venues {
-                if std::mem::replace(&mut banned[v as usize], true) {
-                    // The walk revisited a venue — reject the split.
-                    return None;
-                }
+                debug_assert_ne!(
+                    self.banned[v as usize], self.ban_tick,
+                    "a hop-minimal path over unbanned venues never revisits one"
+                );
+                self.banned[v as usize] = self.ban_tick;
             }
             out.push((path, share));
         }
@@ -474,42 +590,133 @@ impl Router {
         dst: u32,
         max_hops: usize,
     ) -> Option<VenueRoute> {
-        self.search(g, src, dst, 0, max_hops, None, &[])
+        let edges = Edges {
+            book: None,
+            amount: 0,
+            banned: &[],
+            ban_tick: 0,
+        };
+        self.scratch.search(g, src, dst, max_hops, &edges)
     }
 
     /// Fills `out` with every node reachable from `src` within
     /// `max_hops` edges, excluding `src` itself, sorted ascending — the
     /// workload generator's fallback when a uniformly sampled endpoint
-    /// pair is further apart than the hop cap.
+    /// pair is further apart than the hop cap. Runs the search's
+    /// forward BFS with every edge feasible.
     pub fn reachable(&mut self, g: &VenueGraph, src: u32, max_hops: usize, out: &mut Vec<u32>) {
         out.clear();
-        let nodes = g.nodes();
-        if src as usize >= nodes {
+        if src as usize >= g.nodes() {
             return;
         }
-        self.ensure(nodes, 1);
-        self.tick += 1;
-        let t = self.tick;
-        self.stamp[src as usize] = t;
-        let mut frontier = vec![src];
-        let mut next = Vec::new();
-        for _ in 0..max_hops {
-            for &u in &frontier {
-                for &(nbr, _) in g.neighbors(u) {
-                    if self.stamp[nbr as usize] != t {
-                        self.stamp[nbr as usize] = t;
-                        out.push(nbr);
-                        next.push(nbr);
+        self.scratch.bfs(g, src, None, max_hops, |_| true);
+        out.extend_from_slice(&self.scratch.queue[1..]);
+        out.sort_unstable();
+    }
+}
+
+/// The layered Bellman–Ford search the three-pass [`Router`] replaced,
+/// kept as the differential oracle: layer `k` holds the cheapest
+/// feasible walk of exactly `k` hops to each node, relaxed by a sweep
+/// over every node of layer `k - 1` in ascending id, and the search
+/// returns at the first layer that reaches the destination.
+#[cfg(test)]
+pub(crate) mod legacy {
+    use super::*;
+
+    /// The old search: `book == None` is the empty network and
+    /// `banned[v]` excludes venue `v`.
+    pub(crate) fn search(
+        g: &VenueGraph,
+        src: u32,
+        dst: u32,
+        amount: u64,
+        max_hops: usize,
+        book: Option<&LiquidityBook>,
+        banned: &[bool],
+    ) -> Option<VenueRoute> {
+        let nodes = g.nodes();
+        if src == dst || max_hops == 0 || src as usize >= nodes || dst as usize >= nodes {
+            return None;
+        }
+        // `label[k * nodes + v]`: (cost, prev node, prev venue) of the
+        // cheapest `k`-hop walk to `v`.
+        let mut label: Vec<Option<(u64, u32, VenueId)>> = vec![None; nodes * (max_hops + 1)];
+        label[src as usize] = Some((0, u32::MAX, u32::MAX));
+        for k in 0..max_hops {
+            let mut layer_alive = false;
+            for u in 0..nodes {
+                let Some((cu, _, _)) = label[k * nodes + u] else {
+                    continue;
+                };
+                for &(nbr, venue) in g.neighbors(u as u32) {
+                    if banned.get(venue as usize).copied().unwrap_or(false) {
+                        continue;
+                    }
+                    let step = match book {
+                        Some(b) => {
+                            if !b.fits(&[(venue, amount)]) {
+                                continue;
+                            }
+                            b.load_at(venue)
+                        }
+                        None => 0,
+                    };
+                    let slot = &mut label[(k + 1) * nodes + nbr as usize];
+                    let nc = cu.saturating_add(step);
+                    if !matches!(*slot, Some((c, _, _)) if c <= nc) {
+                        *slot = Some((nc, u as u32, venue));
+                        layer_alive = true;
                     }
                 }
             }
-            frontier.clear();
-            std::mem::swap(&mut frontier, &mut next);
-            if frontier.is_empty() {
-                break;
+            if label[(k + 1) * nodes + dst as usize].is_some() {
+                let mut venues = Vec::with_capacity(k + 1);
+                let mut node = dst as usize;
+                for layer in (1..=k + 1).rev() {
+                    let (_, prev, venue) = label[layer * nodes + node].expect("labelled walk");
+                    venues.push(venue);
+                    node = prev as usize;
+                }
+                venues.reverse();
+                return Some(VenueRoute::new(venues));
+            }
+            if !layer_alive {
+                return None;
             }
         }
-        out.sort_unstable();
+        None
+    }
+
+    /// The old split: each share searched with the earlier legs'
+    /// venues banned, rejecting a leg that revisits a venue.
+    pub(crate) fn route_multi(
+        g: &VenueGraph,
+        src: u32,
+        dst: u32,
+        amount: u64,
+        parts: usize,
+        max_hops: usize,
+        book: &LiquidityBook,
+    ) -> Option<Vec<(VenueRoute, u64)>> {
+        if parts < 2 || amount < parts as u64 {
+            return None;
+        }
+        let base = amount / parts as u64;
+        let rem = (amount % parts as u64) as usize;
+        let mut banned = vec![false; g.venues()];
+        let mut out = Vec::with_capacity(parts);
+        for j in 0..parts {
+            let share = base + u64::from(j < rem);
+            let path = search(g, src, dst, share, max_hops, Some(book), &banned)?;
+            for &v in &path.venues {
+                if std::mem::replace(&mut banned[v as usize], true) {
+                    return None;
+                }
+            }
+            out.push((path, share));
+        }
+        Some(out)
     }
 }
 
@@ -530,6 +737,29 @@ mod tests {
             },
             seed,
         )
+    }
+
+    /// A graph over `nodes` nodes from an explicit edge list (parallel
+    /// edges and self-loops allowed), adjacency sorted as `generate`
+    /// sorts it.
+    fn from_edges(nodes: usize, edges: Vec<(u32, u32)>) -> VenueGraph {
+        let mut adj: Vec<Vec<(u32, VenueId)>> = vec![Vec::new(); nodes];
+        for (id, &(a, b)) in edges.iter().enumerate() {
+            adj[a as usize].push((b, id as VenueId));
+            adj[b as usize].push((a, id as VenueId));
+        }
+        for list in &mut adj {
+            list.sort_unstable();
+        }
+        VenueGraph { nodes, edges, adj }
+    }
+
+    /// One step of a xorshift64 stream: cheap deterministic test data.
+    fn next(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
     }
 
     #[test]
@@ -585,21 +815,7 @@ mod tests {
     #[test]
     fn router_avoids_drained_venues() {
         // Square 0-1-2-3: venue 0 = (0,1), 1 = (1,2), 2 = (2,3), 3 = (3,0).
-        let g = VenueGraph {
-            nodes: 4,
-            edges: vec![(0, 1), (1, 2), (2, 3), (3, 0)],
-            adj: {
-                let mut adj = vec![Vec::new(); 4];
-                for (id, &(a, b)) in [(0u32, 1u32), (1, 2), (2, 3), (3, 0)].iter().enumerate() {
-                    adj[a as usize].push((b, id as VenueId));
-                    adj[b as usize].push((a, id as VenueId));
-                }
-                for l in &mut adj {
-                    l.sort_unstable();
-                }
-                adj
-            },
-        };
+        let g = from_edges(4, vec![(0, 1), (1, 2), (2, 3), (3, 0)]);
         let mut book = LiquidityBook::new(&LiquidityConfig::reject(100), 4);
         let mut router = Router::new();
         // Empty book: 0 → 2 has two 2-hop paths; scan order picks the
@@ -623,21 +839,7 @@ mod tests {
 
     #[test]
     fn equal_cost_ties_break_by_scan_order_and_load_breaks_ties_first() {
-        let g = VenueGraph {
-            nodes: 4,
-            edges: vec![(0, 1), (1, 2), (2, 3), (3, 0)],
-            adj: {
-                let mut adj = vec![Vec::new(); 4];
-                for (id, &(a, b)) in [(0u32, 1u32), (1, 2), (2, 3), (3, 0)].iter().enumerate() {
-                    adj[a as usize].push((b, id as VenueId));
-                    adj[b as usize].push((a, id as VenueId));
-                }
-                for l in &mut adj {
-                    l.sort_unstable();
-                }
-                adj
-            },
-        };
+        let g = from_edges(4, vec![(0, 1), (1, 2), (2, 3), (3, 0)]);
         let mut book = LiquidityBook::new(&LiquidityConfig::reject(100), 4);
         let mut router = Router::new();
         // Load venue 0 lightly: still feasible, but the idle side
@@ -709,6 +911,104 @@ mod tests {
                 warm.route(&g, a, b, 10, MAX_NET_HOPS, &book),
                 fresh.route(&g, a, b, 10, MAX_NET_HOPS, &book)
             );
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig {
+            cases: 64,
+            ..proptest::ProptestConfig::default()
+        })]
+
+        /// The three-pass search returns exactly the layered oracle's
+        /// route — hop count, venues and tie-breaks — on scale-free,
+        /// small-world and random multigraphs (parallel edges and
+        /// self-loops included), under idle books (every cost ties, so
+        /// scan order decides), light and heavy loads, banned venues,
+        /// every hop cap up to [`MAX_NET_HOPS`] and the empty network.
+        /// One router serves every call, so stale scratch would show.
+        #[test]
+        fn three_pass_search_matches_layered_oracle(
+            family in 0u8..3,
+            size in 6usize..160,
+            seed in 0u64..1_000_000,
+            loads in 0u8..3,
+            ban_permille in 0u64..300,
+            amount in 1u64..3_000,
+        ) {
+            let g = match family {
+                0 => scalefree(size, seed),
+                1 => smallworld(size / 2 + 6, seed),
+                _ => {
+                    let nodes = size / 3 + 2;
+                    let mut x = seed | 1;
+                    let edges = (0..size)
+                        .map(|_| {
+                            let a = (next(&mut x) % nodes as u64) as u32;
+                            (a, (next(&mut x) % nodes as u64) as u32)
+                        })
+                        .collect();
+                    from_edges(nodes, edges)
+                }
+            };
+            let budget = 4_000;
+            let mut book = LiquidityBook::new(&LiquidityConfig::reject(budget), g.venues());
+            let mut x = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+            for v in 0..g.venues() as u32 {
+                let r = next(&mut x);
+                match (loads, r % 4) {
+                    (1, 0) => book.reserve(v, r % 64),
+                    (2, 0) => book.reserve(v, r % budget),
+                    (2, 1) => book.consume(v, r % budget),
+                    _ => {}
+                }
+            }
+            let bans: Vec<bool> = (0..g.venues())
+                .map(|_| next(&mut x) % 1_000 < ban_permille)
+                .collect();
+            let stamps: Vec<u64> = bans.iter().map(|&b| u64::from(b)).collect();
+            let nodes = g.nodes() as u64;
+            let mut router = Router::new();
+            for _ in 0..12 {
+                let src = (next(&mut x) % nodes) as u32;
+                let dst = (next(&mut x) % nodes) as u32;
+                for max_hops in 1..=MAX_NET_HOPS {
+                    for book in [Some(&book), None] {
+                        for banned in [false, true] {
+                            let expect = legacy::search(
+                                &g,
+                                src,
+                                dst,
+                                amount,
+                                max_hops,
+                                book,
+                                if banned { &bans } else { &[] },
+                            );
+                            let edges = Edges {
+                                book,
+                                amount,
+                                banned: if banned { &stamps } else { &[] },
+                                ban_tick: 1,
+                            };
+                            let got = router.scratch.search(&g, src, dst, max_hops, &edges);
+                            proptest::prop_assert_eq!(got, expect);
+                        }
+                    }
+                }
+                let expect = legacy::search(&g, src, dst, amount, MAX_NET_HOPS, Some(&book), &[]);
+                proptest::prop_assert_eq!(
+                    router.route(&g, src, dst, amount, MAX_NET_HOPS, &book),
+                    expect
+                );
+                let expect = legacy::search(&g, src, dst, 0, MAX_NET_HOPS, None, &[]);
+                proptest::prop_assert_eq!(router.shortest(&g, src, dst, MAX_NET_HOPS), expect);
+                for parts in 2..=3 {
+                    proptest::prop_assert_eq!(
+                        router.route_multi(&g, src, dst, amount, parts, MAX_NET_HOPS, &book),
+                        legacy::route_multi(&g, src, dst, amount, parts, MAX_NET_HOPS, &book)
+                    );
+                }
+            }
         }
     }
 }

@@ -264,3 +264,124 @@ proptest! {
         }
     }
 }
+
+/// Feasible-edge BFS distances from `from`, test-local and independent
+/// of the router: `None` marks nodes `from` cannot reach.
+fn feasible_dist(g: &VenueGraph, from: u32, fits: &dyn Fn(u32) -> bool) -> Vec<Option<usize>> {
+    let mut dist = vec![None; g.nodes()];
+    dist[from as usize] = Some(0);
+    let mut queue = std::collections::VecDeque::from([from]);
+    while let Some(u) = queue.pop_front() {
+        let next = dist[u as usize].map(|d| d + 1);
+        for &(v, venue) in g.neighbors(u) {
+            if dist[v as usize].is_none() && fits(venue) {
+                dist[v as usize] = next;
+                queue.push_back(v);
+            }
+        }
+    }
+    dist
+}
+
+/// The least total load over every shortest feasible path from `at` to
+/// the node whose feasible distances are `to_dst`, by enumerating those
+/// paths: stepping only to a neighbour one hop closer visits exactly the
+/// shortest paths, each once.
+fn min_shortest_load(
+    g: &VenueGraph,
+    at: u32,
+    to_dst: &[Option<usize>],
+    fits: &dyn Fn(u32) -> bool,
+    load: &dyn Fn(u32) -> u64,
+) -> u64 {
+    let here = to_dst[at as usize].expect("enumeration stays on shortest paths");
+    if here == 0 {
+        return 0;
+    }
+    g.neighbors(at)
+        .iter()
+        .filter(|&&(v, venue)| to_dst[v as usize] == Some(here - 1) && fits(venue))
+        .map(|&(v, venue)| load(venue) + min_shortest_load(g, v, to_dst, fits, load))
+        .min()
+        .expect("a node at distance ≥ 1 has a neighbour one hop closer")
+}
+
+proptest! {
+    #![proptest_config(cases(64))]
+
+    /// On small graphs (≤ 40 nodes) of both families, `route` returns
+    /// `None` exactly when the destination's feasible BFS distance
+    /// exceeds the hop cap; otherwise its route has exactly that many
+    /// hops, every hop fits the book, and its total load is the minimum
+    /// over all shortest feasible paths. On the empty network `shortest`
+    /// is hop-minimal and `reachable` is the plain BFS ball.
+    #[test]
+    fn routes_are_hop_minimal_then_load_minimal(
+        small_world in 0u8..2,
+        size in 6usize..39,
+        seed in 0u64..1_000,
+        amount in 100u64..3_000,
+        load_seed in 0u64..1_000,
+        max_hops in 1usize..=8,
+    ) {
+        let family = if small_world == 1 {
+            GraphFamily::SmallWorld { nodes: size, rewire_permille: 200 }
+        } else {
+            GraphFamily::ScaleFree { venues: 2 * size, attach: 2 }
+        };
+        let g = VenueGraph::generate(family, seed);
+        prop_assert!(g.nodes() <= 40);
+        let mut book = LiquidityBook::new(&LiquidityConfig::reject(4_000), g.venues());
+        let mut x = load_seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for v in 0..g.venues() as u32 {
+            let r = next();
+            match r % 4 {
+                0 => book.reserve(v, r % 4_000),
+                1 => book.consume(v, r % 4_000),
+                _ => {}
+            }
+        }
+        let fits = |venue: u32| book.fits(&[(venue, amount)]);
+        let load = |venue: u32| book.load_at(venue);
+        let any = |_: u32| true;
+        let nodes = g.nodes() as u64;
+        let mut router = Router::new();
+        let mut ball = Vec::new();
+        for _ in 0..16 {
+            let src = (next() % nodes) as u32;
+            let dst = ((u64::from(src) + 1 + next() % (nodes - 1)) % nodes) as u32;
+            let to_dst = feasible_dist(&g, dst, &fits);
+            match (to_dst[src as usize], router.route(&g, src, dst, amount, max_hops, &book)) {
+                (Some(d), Some(path)) if d <= max_hops => {
+                    prop_assert_eq!(path.hops(), d);
+                    prop_assert_eq!(walk(&g, src, &path.venues), dst);
+                    prop_assert!(path.venues.iter().all(|&v| fits(v)));
+                    let total: u64 = path.venues.iter().map(|&v| load(v)).sum();
+                    prop_assert_eq!(total, min_shortest_load(&g, src, &to_dst, &fits, &load));
+                }
+                (d, path) => prop_assert!(
+                    path.is_none() && d.map_or(true, |d| d > max_hops),
+                    "distance {:?} under cap {} but route {:?}",
+                    d,
+                    max_hops,
+                    path
+                ),
+            }
+
+            let plain = feasible_dist(&g, src, &any);
+            let hops = router.shortest(&g, src, dst, max_hops).map(|p| p.hops());
+            prop_assert_eq!(hops, plain[dst as usize].filter(|&d| d <= max_hops));
+            router.reachable(&g, src, max_hops, &mut ball);
+            let expect: Vec<u32> = (0..g.nodes() as u32)
+                .filter(|&n| n != src && plain[n as usize].is_some_and(|d| d <= max_hops))
+                .collect();
+            prop_assert_eq!(&ball, &expect);
+        }
+    }
+}
